@@ -1,0 +1,18 @@
+"""Seeded `experiment` output must match the checked-in golden CSVs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).resolve().parent / "golden" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+
+@pytest.mark.parametrize("backend", make_golden.BACKENDS)
+@pytest.mark.parametrize("scenario", sorted(make_golden.SCENARIOS))
+def test_experiment_csv_matches_golden(scenario, backend):
+    want = make_golden.golden_path(scenario, backend).read_text()
+    assert make_golden.render(scenario, backend) == want
