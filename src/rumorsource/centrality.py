@@ -4,8 +4,15 @@ For a tree snapshot with n nodes, the count for root s is
 n! / prod_u (size of the subtree at u when rooted at s), taken over all n
 nodes.  Counts are exact big integers; moving the root across an edge (u, v)
 rescales by size_v / (n - size_v), which gives every node's count in two
-passes.  On non-tree hosts the exact count is undefined and callers must BFS
-a spanning tree first.
+passes.  Everything here starts from one reverse pass over the infection
+order that sizes the subtrees at the snapshot's own root.
+
+Comparing two nodes needs no big counts: R(b)/R(a) is the product of those
+per-edge factors along the a-b path, a ratio of small-integer products
+(`_path_ratio`).  The MAP estimator ranks suspects this way, and when every
+infected node is a suspect it takes the tree centroid, which is exactly the
+argmax set.  On non-tree hosts the exact count is undefined and callers must
+BFS a spanning tree first.
 """
 
 from __future__ import annotations
@@ -17,46 +24,81 @@ from .errors import ValidationError
 from .topology import Graph, Snapshot, bfs_tree
 
 
-def _require_tree(snap: Snapshot) -> None:
+def _require_tree(snap: Snapshot, *nodes: int) -> None:
     if not snap.is_host_tree():
         raise ValidationError(
             "snapshot is not a tree in its host graph; build a BFS tree first"
         )
+    for u in nodes:
+        if u not in snap:
+            raise ValidationError(f"node {u} not in snapshot")
 
 
-def _sizes_from(snap: Snapshot, root: int) -> dict[int, int]:
-    """Subtree sizes with the snapshot re-rooted at `root` (iterative DFS)."""
-    if root not in snap:
-        raise ValidationError(f"root {root} not in snapshot")
-    adj: dict[int, list[int]] = {u: [] for u in snap.order}
-    for u in snap.order:
-        p = snap.parent_of[u]
-        if p is not None:
-            adj[u].append(p)
-            adj[p].append(u)
+def _subtree_sizes(snap: Snapshot) -> dict[int, int]:
+    """Subtree sizes of the snapshot's own parent tree at its root.
+
+    One reverse pass over the infection order, which lists every parent
+    before its children.
+    """
     size = dict.fromkeys(snap.order, 1)
-    stack = [(root, None, False)]
-    while stack:
-        u, par, done = stack.pop()
-        if done:
-            if par is not None:
-                size[par] += size[u]
-            continue
-        stack.append((u, par, True))
-        for v in adj[u]:
-            if v != par:
-                stack.append((v, u, False))
+    parent_of = snap.parent_of
+    for u in reversed(snap.order):
+        p = parent_of[u]
+        if p is not None:
+            size[p] += size[u]
     return size
+
+
+def _ancestors(snap: Snapshot, a: int) -> dict[int, None]:
+    """a, its parent, ..., the root, in that (insertion) order."""
+    chain = {}
+    while a is not None:
+        chain[a] = None
+        a = snap.parent_of[a]
+    return chain
+
+
+def _path_ratio(snap: Snapshot, size: dict[int, int], chain: dict,
+                b: int) -> tuple[int, int]:
+    """R(b)/R(a) as (num, den), where chain = _ancestors(snap, a).
+
+    Stepping down into child w multiplies by size_w / (n - size_w) and
+    stepping up out of w by the inverse, so only path sizes enter and the
+    products stay O(path length * log n) bits.
+    """
+    n, parent_of = snap.n, snap.parent_of
+    num = den = 1
+    while b not in chain:
+        num *= size[b]
+        den *= n - size[b]
+        b = parent_of[b]
+    for w in chain:
+        if w == b:
+            break
+        num *= n - size[w]
+        den *= size[w]
+    return num, den
+
+
+def _branch_sizes(snap: Snapshot, size: dict[int, int], w: int) -> dict[int, int]:
+    """Neighbor -> node count of its branch when the snapshot is rooted at w."""
+    parent_of = snap.parent_of
+    out = {c: size[c] for c in snap.order if parent_of[c] == w}
+    if parent_of[w] is not None:
+        out[parent_of[w]] = snap.n - size[w]
+    return out
+
+
+def _root_count(n: int, size: dict[int, int]) -> int:
+    return math.factorial(n) // math.prod(size.values())
 
 
 def rumor_centrality(snap: Snapshot, root: int) -> int:
     """Exact number of spreading orders of the snapshot that start at root."""
-    _require_tree(snap)
-    size = _sizes_from(snap, root)
-    denom = 1
-    for s in size.values():
-        denom *= s
-    return math.factorial(snap.n) // denom
+    _require_tree(snap, root)
+    size = _subtree_sizes(snap)
+    num, den = _path_ratio(snap, size, {snap.root: None}, root)
+    return _root_count(snap.n, size) * num // den
 
 
 def log_rumor_centrality(snap: Snapshot, root: int) -> float:
@@ -79,12 +121,6 @@ class CentralityReport:
         best = max(self.exact.values())
         return sorted(u for u, r in self.exact.items() if r == best)
 
-    def to_rows(self) -> list[tuple]:
-        """(node, subtree_size, log_centrality) rows, node-sorted."""
-        return [
-            (u, self.subtree_size[u], self.log[u]) for u in sorted(self.exact)
-        ]
-
 
 def centrality_all(snap: Snapshot) -> CentralityReport:
     """Exact centrality for every node in O(n) big-int steps.
@@ -95,11 +131,8 @@ def centrality_all(snap: Snapshot) -> CentralityReport:
     _require_tree(snap)
     n = snap.n
     root = snap.root
-    size = _sizes_from_tree_only(snap)
-    denom = 1
-    for s in size.values():
-        denom *= s
-    exact = {root: math.factorial(n) // denom}
+    size = _subtree_sizes(snap)
+    exact = {root: _root_count(n, size)}
     for u in snap.order:
         if u == root:
             continue
@@ -116,35 +149,8 @@ def compare_centrality(snap: Snapshot, u: int, v: int) -> int:
     Uses the telescoped ratio along the u-v path, so only path-node subtree
     sizes enter; no factorials are formed.
     """
-    _require_tree(snap)
-    if u not in snap or v not in snap:
-        raise ValidationError(f"nodes {u}, {v} must lie in the snapshot")
-    if u == v:
-        return 0
-    size = _sizes_from(snap, u)
-    # climb from v toward u using parent pointers of the u-rooted DFS
-    parent: dict[int, int | None] = {u: None}
-    adj = {w: [] for w in snap.order}
-    for w in snap.order:
-        p = snap.parent_of[w]
-        if p is not None:
-            adj[w].append(p)
-            adj[p].append(w)
-    stack = [u]
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if b not in parent:
-                parent[b] = a
-                stack.append(b)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    # R(v)/R(u) = prod over path nodes w != u of size_w / (n - size_w)
-    num = den = 1
-    for w in path[:-1]:
-        num *= size[w]
-        den *= snap.n - size[w]
+    _require_tree(snap, u, v)
+    num, den = _path_ratio(snap, _subtree_sizes(snap), _ancestors(snap, u), v)
     if num == den:
         return 0
     return 1 if den > num else -1
@@ -167,28 +173,19 @@ def local_rumor_center(snap: Snapshot, omega: int,
     omega wins through neighbor u iff u's subtree holds at most half of all
     nodes; an exact half is a tie, and at most one neighbor can tie.
     """
-    _require_tree(snap)
-    if omega not in snap:
-        raise ValidationError(f"node {omega} not in snapshot")
-    size = _sizes_from(snap, omega)
-    ch = snap.children_map()
-    neigh = set(ch[omega])
-    if snap.parent_of[omega] is not None:
-        neigh.add(snap.parent_of[omega])
-    if sub_neighborhood is None:
-        hood = sorted(neigh)
-    else:
-        hood = sorted(set(sub_neighborhood))
+    _require_tree(snap, omega)
+    branch = _branch_sizes(snap, _subtree_sizes(snap), omega)
+    hood = sorted(branch if sub_neighborhood is None else set(sub_neighborhood))
     sizes = {}
     tied = None
     ok = True
     for u in hood:
-        if u not in neigh:
+        if u not in branch:
             raise ValidationError(f"{u} is not a snapshot neighbor of {omega}")
-        sizes[u] = size[u]
-        if 2 * size[u] > snap.n:
+        sizes[u] = branch[u]
+        if 2 * sizes[u] > snap.n:
             ok = False
-        elif 2 * size[u] == snap.n:
+        elif 2 * sizes[u] == snap.n:
             tied = u
     return LocalCenterVerdict(is_center=ok, tied_neighbor=tied if ok else None,
                               subtree_sizes=sizes)
@@ -197,18 +194,4 @@ def local_rumor_center(snap: Snapshot, omega: int,
 def bfs_heuristic_centrality(g: Graph, nodes, s: int) -> int:
     """General-graph proxy: rumor centrality of s on its BFS tree over `nodes`."""
     snap = bfs_tree(g, s, restrict=nodes)
-    size = _sizes_from_tree_only(snap)
-    denom = 1
-    for v in size.values():
-        denom *= v
-    return math.factorial(snap.n) // denom
-
-
-def _sizes_from_tree_only(snap: Snapshot) -> dict[int, int]:
-    """Subtree sizes of the snapshot's own parent tree at its root."""
-    size = dict.fromkeys(snap.order, 1)
-    for u in reversed(snap.order):
-        p = snap.parent_of[u]
-        if p is not None:
-            size[p] += size[u]
-    return size
+    return _root_count(snap.n, _subtree_sizes(snap))

@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     except (CapacityError, BudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

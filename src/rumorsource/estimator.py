@@ -2,8 +2,11 @@
 
 With equal prior weight on every suspect, the MAP source is the suspect
 whose rumor centrality over the infected set is largest.  On tree hosts the
-exact counts decide; on cyclic hosts each candidate is scored on its own
-BFS spanning tree.  Centrality ties are split by a fair coin driven by an
+argmax is found exactly from subtree sizes, with no big counts: when every
+infected node is a suspect it is the tree centroid, and otherwise an exact
+pairwise tournament compares suspects by the small-integer path ratio
+R(c)/R(b).  On cyclic hosts each candidate is scored on its own BFS
+spanning tree.  Centrality ties are split by a fair coin driven by an
 explicit tie seed.
 """
 
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, ValidationError
-from .topology import Graph, Snapshot, bfs_tree, shortest_path
-from .centrality import centrality_all, _sizes_from_tree_only
-import math
+from .topology import Graph, Snapshot, shortest_path
+from .centrality import (_ancestors, _path_ratio, _subtree_sizes,
+                         bfs_heuristic_centrality)
 
 
 @dataclass(frozen=True)
@@ -84,9 +87,7 @@ def make_suspects_connected(g: Graph, anchor: int, k: int) -> SuspectSet:
             raise CapacityError(
                 f"component of {anchor} has only {len(chosen)} nodes, need {k}"
             )
-        for v in sorted(nxt):
-            if len(chosen) < k:
-                chosen.append(v)
+        chosen.extend(sorted(nxt)[:k - len(chosen)])
         layer = nxt
     return SuspectSet(chosen, pattern="connected", param=k)
 
@@ -118,40 +119,68 @@ class Estimate:
 def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Estimate:
     """Most likely source among the suspects that are actually infected.
 
-    Tree hosts get exact centrality; otherwise each candidate is scored on
-    its BFS tree over the infected set.  A tie is resolved uniformly at
-    random from the tied set using tie_seed.
+    Tree hosts get the exact argmax from subtree sizes; otherwise each
+    candidate is scored on its BFS tree over the infected set.  A tie is
+    resolved uniformly at random from the tied set using tie_seed.
     """
-    candidates = sorted(set(suspects.members) & set(snap.nodes))
+    candidates = sorted(suspects.members & snap.nodes)
     if not candidates:
         raise ValidationError("no suspect is infected; nothing to estimate")
+    tree = snap.is_host_tree()
     if len(candidates) == 1:
-        method = "tree-exact" if snap.is_host_tree() else "bfs-heuristic"
-        return Estimate(chosen=candidates[0], argmax_set=(candidates[0],),
-                        method=method, tie_broken=False)
-    if snap.is_host_tree():
-        method = "tree-exact"
-        report = centrality_all(snap)
-        scores = {s: report.exact[s] for s in candidates}
+        argmax = tuple(candidates)
+    elif tree:
+        argmax = _tree_argmax(snap, candidates)
     else:
-        method = "bfs-heuristic"
-        scores = {}
-        for s in candidates:
-            scores[s] = _bfs_tree_centrality(snap, s)
-    best = max(scores.values())
-    argmax = tuple(s for s in candidates if scores[s] == best)
-    if len(argmax) == 1:
-        return Estimate(chosen=argmax[0], argmax_set=argmax, method=method,
-                        tie_broken=False)
-    pick = random.Random(tie_seed).randrange(len(argmax))
-    return Estimate(chosen=argmax[pick], argmax_set=argmax, method=method,
-                    tie_broken=True)
+        scores = {s: bfs_heuristic_centrality(snap.host, snap.nodes, s)
+                  for s in candidates}
+        best = max(scores.values())
+        argmax = tuple(s for s in candidates if scores[s] == best)
+    tie = len(argmax) > 1
+    pick = random.Random(tie_seed).randrange(len(argmax)) if tie else 0
+    return Estimate(chosen=argmax[pick], argmax_set=argmax, tie_broken=tie,
+                    method="tree-exact" if tree else "bfs-heuristic")
 
 
-def _bfs_tree_centrality(snap: Snapshot, s: int) -> int:
-    tree = bfs_tree(snap.host, s, restrict=snap.nodes)
-    size = _sizes_from_tree_only(tree)
-    denom = 1
-    for v in size.values():
-        denom *= v
-    return math.factorial(tree.n) // denom
+def _tree_argmax(snap: Snapshot, candidates: list[int]) -> tuple:
+    """Ascending candidates of largest rumor centrality, exactly.
+
+    Nodes holding more than half of all nodes in their subtree form a path
+    down from the root; its lowest node is a centroid, and a child holding
+    exactly half ties with it.  With every node a candidate these are the
+    argmax set.  Otherwise, as R strictly grows along any path toward the
+    centroid, a candidate with another one strictly between it and the
+    centroid loses; the rest play an ascending-id tournament by exact path
+    ratio against the current best.
+    """
+    n, parent_of = snap.n, snap.parent_of
+    size = _subtree_sizes(snap)
+    heavy = [v for v in snap.order if 2 * size[v] >= n]
+    center = min((v for v in heavy if 2 * size[v] > n), key=size.__getitem__)
+    if len(candidates) == n:
+        return tuple(sorted(v for v in heavy if v == center or 2 * size[v] == n))
+    cand = set(candidates)
+    chain = list(_ancestors(snap, center))
+    toward = dict(zip(chain[1:], chain))  # root-side nodes, turned to center
+    blocked = {center: False}  # a candidate at x or beyond, short of center
+
+    def is_blocked(x):
+        path = []
+        while x not in blocked:
+            path.append(x)
+            x = toward.get(x, parent_of[x])
+        hit = blocked[x]
+        for y in reversed(path):
+            hit = blocked[y] = hit or y in cand
+        return hit
+
+    best, best_chain = None, None  # the first contender beats the empty field
+    for c in candidates:
+        if c != center and is_blocked(toward.get(c, parent_of[c])):
+            continue
+        num, den = _path_ratio(snap, size, best_chain, c) if best else (1, 0)
+        if num > den:
+            best, best_chain = [c], _ancestors(snap, c)
+        elif num == den:
+            best.append(c)
+    return tuple(best)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import BudgetError, ValidationError
-from .urn import EXACT_DEFAULT_LIMIT, incomplete_beta
+from .urn import _resolve_exact, incomplete_beta
 
 # Visited-state cap for the two-suspect chain walk.
 DEFAULT_STATE_BUDGET = 3_000_000
@@ -50,12 +50,6 @@ class DetectionResult:
     @property
     def as_float(self) -> float:
         return float(self.value)
-
-
-def _resolve_exact(exact, n: int) -> bool:
-    if exact is None:
-        return n <= EXACT_DEFAULT_LIMIT
-    return bool(exact)
 
 
 def _check_delta_n(delta: int, n: int) -> None:
@@ -100,17 +94,12 @@ def _tail_exact(delta: int, n: int) -> Fraction:
 
 def _tail_float(delta: int, n: int) -> float:
     N = n - 1
-    eps = delta - 2
     if N == 0:
         return 0.0
-    lo = n // 2 + 1
-    xs = np.arange(lo, N + 1, dtype=np.float64)
-    terms = []
-    if xs.size:
-        terms.append(_log_marginal(delta, n, xs))
+    xs = np.arange(n // 2 + 1, N + 1, dtype=np.float64)
     total = 0.0
-    if terms:
-        lp = terms[0]
+    if xs.size:
+        lp = _log_marginal(delta, n, xs)
         m = lp.max()
         total = math.exp(m) * float(np.exp(lp - m).sum())
     if n % 2 == 0 and n // 2 <= N:
@@ -153,10 +142,7 @@ def pc_conditional(delta: int, m: int, n: int, exact=None):
     _check_delta_n(delta, n)
     if not 0 <= m <= delta:
         raise ValidationError(f"m must lie in [0, {delta}], got {m}")
-    tail = single_subtree_tail(delta, n, exact=exact)
-    if isinstance(tail, Fraction):
-        return Fraction(1) - m * tail
-    return 1.0 - m * tail
+    return 1 - m * single_subtree_tail(delta, n, exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -147,23 +147,16 @@ def subtree_counts(snap: Snapshot, root: int) -> list[int]:
     host graph is known, uninfected branches show up as zeros; a detached
     snapshot (host None) can only report the branches it actually contains.
     """
-    from .centrality import _require_tree, _sizes_from
+    from .centrality import _branch_sizes, _require_tree, _subtree_sizes
 
-    _require_tree(snap)
-    if root not in snap:
-        raise ValidationError(f"root {root} not in snapshot")
-    size = _sizes_from(snap, root)
-    ch = snap.children_map()
-    neigh = set(ch[root])
-    if snap.parent_of[root] is not None:
-        neigh.add(snap.parent_of[root])
-    if snap.host is not None:
-        if isinstance(snap.host, LazyRegularTree):
-            host_neigh = snap.host.known_neighbors(root)
-        else:
-            host_neigh = snap.host.neighbors(root)
-        neigh.update(host_neigh)
-    return [size.get(v, 0) for v in sorted(neigh)]
+    _require_tree(snap, root)
+    branch = _branch_sizes(snap, _subtree_sizes(snap), root)
+    neigh = set(branch)
+    if isinstance(snap.host, LazyRegularTree):
+        neigh.update(snap.host.known_neighbors(root))
+    elif snap.host is not None:
+        neigh.update(snap.host.neighbors(root))
+    return [branch.get(v, 0) for v in sorted(neigh)]
 
 
 def snapshot_to_dict(snap: Snapshot) -> dict:
@@ -179,23 +172,30 @@ def snapshot_to_dict(snap: Snapshot) -> dict:
 
 
 def snapshot_from_dict(doc: dict, host: Graph | None = None) -> Snapshot:
+    """Checked inverse of snapshot_to_dict: ids unique, the source first, and
+    one parent per other node, listed before it (subtree sizing relies on it).
+    """
     try:
-        nodes = list(doc["nodes"])
-        pairs = list(doc["parents"])
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"snapshot document missing field: {e}") from None
-    root = doc.get("source", nodes[0] if nodes else None)
-    if root is None or root not in nodes:
-        raise ValidationError("snapshot document lacks a usable source node")
-    parent: dict[int, int | None] = {int(root): None}
+        nodes = [int(v) for v in doc["nodes"]]
+        pairs = [(int(u), int(p)) for u, p in doc["parents"]]
+        root = int(doc.get("source", nodes[0] if nodes else -1))
+        n = int(doc.get("n", len(nodes)))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed snapshot document: {e}") from None
+    pos = {v: i for i, v in enumerate(nodes)}
+    if len(pos) != len(nodes):
+        raise ValidationError("snapshot node list repeats an id")
+    if not nodes or nodes[0] != root or n != len(nodes):
+        raise ValidationError("snapshot node list must start with its source "
+                              "and hold n nodes")
+    parent: dict[int, int | None] = dict(pairs)
+    if root in parent or len(parent) != len(pairs) or len(pairs) != n - 1:
+        raise ValidationError("snapshot needs one parent for each non-source node")
     for u, p in pairs:
-        parent[int(u)] = int(p)
-    if set(parent) != set(int(v) for v in nodes):
-        raise ValidationError("snapshot parents do not cover the node list")
-    if int(doc.get("n", len(nodes))) != len(nodes):
-        raise ValidationError("snapshot n disagrees with node list length")
-    return Snapshot(root=int(root), order=[int(v) for v in nodes],
-                    parent_of=parent, host=host)
+        if pos.get(p, n) >= pos.get(u, -1):
+            raise ValidationError(f"parent {p} of node {u} must be listed before it")
+    parent[root] = None
+    return Snapshot(root=root, order=nodes, parent_of=parent, host=host)
 
 
 def snapshot_to_json(snap: Snapshot) -> str:

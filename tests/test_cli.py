@@ -127,6 +127,27 @@ def test_estimate_missing_file_exit_four(capsys):
     assert code == 4 and "error" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"nodes": [0, 1, 1], "parents": [[1, 0]]},  # duplicate id
+    {"nodes": [0, 2, 1], "parents": [[2, 1], [1, 0]]},  # parent after child
+    {"nodes": [0, 1, 2], "parents": [[1, 2], [2, 1]]},  # parent cycle
+    {"nodes": [0, 1], "parents": [[1]]},  # malformed pair
+], ids=["duplicate-id", "parent-after-child", "parent-cycle", "short-pair"])
+def test_estimate_bad_snapshot_exit_four(tmp_path, capsys, doc):
+    snap_file = tmp_path / "snap.json"
+    snap_file.write_text(json.dumps(doc))
+    code, out, err = run_cli(["estimate", "--snapshot", str(snap_file),
+                              "--suspects", "0,1,2", "--tie-seed", "0"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_estimate_snapshot_directory_exit_four(tmp_path, capsys):
+    code, _, err = run_cli(["estimate", "--snapshot", str(tmp_path),
+                            "--suspects", "0", "--tie-seed", "0"], capsys)
+    assert code == 4 and err.startswith("error:")
+
+
 def test_simulate_explicit_graph(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
     graph_file.write_text("0 1\n1 2\n2 3\n3 0\n")

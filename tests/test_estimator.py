@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from rumorsource import centrality, estimator
 from rumorsource.centrality import centrality_all, local_rumor_center
 from rumorsource.errors import CapacityError, ValidationError
 from rumorsource.estimator import (SuspectSet, make_suspects_all,
                                    make_suspects_connected, make_suspects_two,
                                    map_estimate)
-from rumorsource.spread import SpreadConfig, simulate_si
+from rumorsource.spread import (SpreadConfig, simulate_si, snapshot_from_json,
+                                snapshot_to_json)
 from rumorsource.topology import (ExplicitGraph, LazyRegularTree, bfs_tree,
                                   regular_tree)
 
@@ -167,3 +169,73 @@ def test_detection_structure_matches_center_verdict():
         assert list(est.argmax_set) == am
         assert est.chosen in am
     assert hits_structural > 0
+
+
+def _bigint_argmax(snap, members):
+    exact = centrality_all(snap).exact
+    cands = sorted(set(members) & snap.nodes)
+    best = max(exact[c] for c in cands)
+    return tuple(c for c in cands if exact[c] == best)
+
+
+def _suspect_sets(g, snap, rng, kmax=8):
+    nodes = sorted(snap.nodes)
+    yield make_suspects_all(snap)
+    anchor = rng.choice(nodes)
+    yield make_suspects_connected(g, anchor, rng.randrange(2, kmax + 1))
+    a, b = rng.sample(nodes, 2)
+    yield make_suspects_two(g, a, b)
+    picks = rng.sample(nodes, rng.randrange(1, len(nodes) + 1))
+    # an uninfected id must be ignored, not scored
+    yield SuspectSet(picks + [max(nodes) + 1])
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 12])
+def test_tree_map_matches_bigint_argmax(delta):
+    rng = random.Random(delta)
+    ties = 0
+    for n in range(2, 42):
+        g = LazyRegularTree(delta)
+        snap = simulate_si(g, SpreadConfig(source=0, n=n, seed=1000 * delta + n))
+        detached = snapshot_from_json(snapshot_to_json(snap))
+        assert detached.host is None
+        for sus in _suspect_sets(g, snap, rng):
+            want = _bigint_argmax(snap, sus.members)
+            for view in (snap, detached):
+                est = map_estimate(view, sus, tie_seed=n)
+                assert est.argmax_set == want, (n, sorted(sus.members))
+                assert est.method == "tree-exact"
+                assert est.tie_broken == (len(want) > 1)
+                assert est.chosen in want
+            ties += len(want) > 1
+    assert ties > 0
+
+
+def test_tree_map_on_explicit_tree_host():
+    rng = random.Random(5)
+    for t in range(60):
+        size = rng.randrange(3, 60)
+        labels = rng.sample(range(3 * size), size)
+        g = ExplicitGraph.from_edges(
+            [(labels[i], labels[rng.randrange(i)]) for i in range(1, size)])
+        snap = simulate_si(g, SpreadConfig(
+            source=rng.choice(labels), n=rng.randrange(2, size + 1), seed=t,
+            backend="exponential-clocks"))
+        for sus in _suspect_sets(g, snap, rng, kmax=min(8, size)):
+            est = map_estimate(snap, sus, tie_seed=t)
+            assert est.method == "tree-exact"
+            assert est.argmax_set == _bigint_argmax(snap, sus.members)
+
+
+def test_tree_map_forms_no_big_counts(monkeypatch):
+    def boom(*args):
+        raise AssertionError("tree MAP must not form full centrality counts")
+
+    monkeypatch.setattr(estimator, "centrality_all", boom, raising=False)
+    monkeypatch.setattr(centrality, "centrality_all", boom)
+    monkeypatch.setattr(centrality, "_root_count", boom)
+    g = LazyRegularTree(3)
+    snap = simulate_si(g, SpreadConfig(source=0, n=400, seed=9))
+    assert map_estimate(snap, make_suspects_all(snap)).method == "tree-exact"
+    sus = make_suspects_connected(g, 0, 20)
+    assert map_estimate(snap, sus).method == "tree-exact"
