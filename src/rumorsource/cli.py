@@ -13,9 +13,9 @@ import sys
 
 from .errors import BudgetError, CapacityError, ValidationError
 from .estimator import SuspectSet, map_estimate
-from .exactprob import (pc_all_suspects, pc_conditional, pc_connected,
-                        pc_general_lower_bound, pc_two_suspects,
-                        phi1, phi2, phi3)
+from .exactprob import (DetectionResult, pc_all_suspects, pc_conditional,
+                        pc_connected, pc_general_lower_bound,
+                        pc_two_suspects, phi1, phi2, phi3)
 from .harness import (ExperimentConfig, figure_sweep, reports_to_csv,
                       run_experiment)
 from .spread import (SpreadConfig, simulate_si, snapshot_from_json,
@@ -99,12 +99,8 @@ def _cmd_exact(args) -> int:
         if args.m is None:
             raise ValidationError("conditional needs --m")
         v = pc_conditional(args.delta, args.m, args.n, exact=args.exact_arith)
-
-        class _R:  # noqa: N801 - ad-hoc carrier
-            value = v
-            method = "tail-sum"
-
-        res = _R()
+        res = DetectionResult(value=v, method="tail-sum",
+                              scenario="conditional")
     if args.format == "json":
         doc = {"scenario": scenario, "delta": args.delta, "n": args.n,
                "k": args.k, "d": args.d, "value": float(res.value),

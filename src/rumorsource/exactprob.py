@@ -1,18 +1,21 @@
 """Exact and asymptotic probabilities of catching the source on regular trees.
 
-Everything reduces to two engines:
+The subtree sizes z_1 > z_2 > ... along the path leaving the source form a
+Markov chain (`urn.path_chain_joint`), and one walk over that chain yields
+every exact engine here:
 
-* a single-subtree tail: the chance that one fixed neighbor subtree of the
-  true source swallows more than half of the infection (plus half the mass
-  of an exact half split).  Detection fails through a suspect neighbor
-  exactly when its subtree does that, so the all-suspect and connected-k
-  probabilities are 1 - (multiplier) * tail.
-* a chain enumeration for two suspects at distance d: the subtree sizes
-  along the path joining them form a Markov chain, and the wrong suspect
-  wins (or ties) according to the product of size odds along the path.
+* two suspects at distance d: a chain of length d errs (or ties) when the
+  product of size odds z_h / (n - z_h) along it exceeds (or equals) 1.
   Only chains whose every prefix keeps that product above 1 can end in an
   error, which prunes the walk to a thin wedge and keeps exact rational
-  enumeration cheap.
+  enumeration cheap; the last level closes with one upper-tail lookup.
+* the single-subtree tail is the d = 1 case: one fixed neighbor subtree of
+  the true source swallows more than half of the infection (plus half the
+  mass of an exact half split).  Detection fails through a suspect
+  neighbor exactly when its subtree does that, so the all-suspect and
+  connected-k probabilities are 1 - (multiplier) * tail.
+* the survival bound for deep suspect pairs is the error mass of the
+  pruned walk at d = depth.
 
 Counts are exact Fractions by default up to n = 500, log-gamma floats
 beyond; tie mass always enters with weight 1/2 (fair coin).
@@ -21,15 +24,18 @@ beyond; tie mass always enters with weight 1/2 (fair coin).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import BudgetError, ValidationError
-from .urn import _resolve_exact, incomplete_beta
+from .urn import (_resolve_exact, incomplete_beta, log_rising,
+                  rising_product)
 
 # Visited-state cap for the two-suspect chain walk.
 DEFAULT_STATE_BUDGET = 3_000_000
@@ -64,32 +70,10 @@ def _check_delta_n(delta: int, n: int) -> None:
 
 @lru_cache(maxsize=8192)
 def _tail_exact(delta: int, n: int) -> Fraction:
-    """Fraction form of single_subtree_tail; cached since sweeps reuse it."""
-    N = n - 1
-    eps = delta - 2
-    if N == 0:
-        return Fraction(0)
-    # marginal pmf of one subtree's count x against the other delta-1,
-    # stepped downward from x = N
-    num = den = 1
-    for i in range(N):
-        num *= 1 + i * eps
-        den *= delta + i * eps
-    p = Fraction(num, den)  # P(X1 = N)
-    tail = Fraction(0)
-    half2 = n  # compare 2*x against n
-    x = N
-    while 2 * x >= half2 and x >= 0:
-        if 2 * x == half2:
-            tail += p / 2
-        else:
-            tail += p
-        # P(x-1) = P(x) * x/(N-x+1) * ((delta-1)+(N-x)eps)/(1+(x-1)eps)
-        if x >= 1:
-            p = p * Fraction(x * ((delta - 1) + (N - x) * eps),
-                             (N - x + 1) * (1 + (x - 1) * eps))
-        x -= 1
-    return tail
+    """Fraction form of single_subtree_tail: the d = 1 chain walk, which no
+    state budget bounds.  Cached since sweeps reuse it."""
+    m = _chain_masses(delta, n, 1, True, math.inf, prune=True)
+    return m.error + m.tie / 2
 
 
 def _tail_float(delta: int, n: int) -> float:
@@ -112,16 +96,9 @@ def _log_marginal(delta: int, n: int, xs):
     N = n - 1
     eps = delta - 2
     ys = N - xs
-    out = gammaln(N + 1) - gammaln(xs + 1) - gammaln(ys + 1)
-    if eps == 0:
-        out = out - N * math.log(delta)  # both balls are 1 and delta-1=1
-        return out
-    out = out + xs * math.log(eps) + gammaln(1.0 / eps + xs) - gammaln(1.0 / eps)
-    b2 = (delta - 1.0) / eps
-    out = out + ys * math.log(eps) + gammaln(b2 + ys) - gammaln(b2)
-    btot = delta / eps
-    out = out - (N * math.log(eps) + gammaln(btot + N) - gammaln(btot))
-    return out
+    return (gammaln(N + 1) - gammaln(xs + 1) - gammaln(ys + 1)
+            + log_rising(1, eps, xs) + log_rising(delta - 1, eps, ys)
+            - log_rising(delta, eps, N))
 
 
 def single_subtree_tail(delta: int, n: int, exact=None):
@@ -168,11 +145,8 @@ def pc_all_suspects(delta: int, n: int, exact=None, via="auto") -> DetectionResu
         v = Fraction(1, 4) + Fraction(3, 4) / (2 * (n // 2) + 1)
         return _wrap(v, use_exact, "closed-form", "all-suspects")
     tail = single_subtree_tail(delta, n, exact=use_exact)
-    if use_exact:
-        v = Fraction(1) - delta * tail
-    else:
-        v = 1.0 - delta * tail
-    return DetectionResult(value=v, method="tail-sum", scenario="all-suspects")
+    return DetectionResult(value=1 - delta * tail, method="tail-sum",
+                           scenario="all-suspects")
 
 
 def pc_connected(delta: int, k: int, n: int, exact=None, via="auto") -> DetectionResult:
@@ -201,11 +175,8 @@ def pc_connected(delta: int, k: int, n: int, exact=None, via="auto") -> Detectio
         v = Fraction(k + 1, 2 * k) + Fraction(k - 1, k) / (4 * (n // 2) + 2)
         return _wrap(v, use_exact, "closed-form", "connected-k")
     tail = single_subtree_tail(delta, n, exact=use_exact)
-    if use_exact:
-        v = Fraction(1) - Fraction(2 * (k - 1), k) * tail
-    else:
-        v = 1.0 - (2.0 * (k - 1) / k) * tail
-    return DetectionResult(value=v, method="tail-sum", scenario="connected-k")
+    return DetectionResult(value=1 - Fraction(2 * (k - 1), k) * tail,
+                           method="tail-sum", scenario="connected-k")
 
 
 def _wrap(v: Fraction, use_exact: bool, method: str, scenario: str) -> DetectionResult:
@@ -241,8 +212,28 @@ class ChainMasses:
         return self.error + self.tie + self.success
 
 
+def _pmf(b: int, M: int, eps: int, top, ratio):
+    """Yield P(c) for c = M, M-1, ..., 0, where c counts the draws of the
+    one-ball color from a (1, b) urn adding eps balls per draw, over M
+    draws.  Starts at P(M) = top and steps down by
+
+        P(c-1) = P(c) * c (b + (M-c) eps) / ((M-c+1) (1 + (c-1) eps))
+
+    with the factor formed by ratio(numerator, denominator).  Stops early
+    when that factor is zero (b = eps = 0): every lower count has mass 0.
+    """
+    p = top
+    for c in range(M, 0, -1):
+        yield p
+        rn = c * (b + (M - c) * eps)
+        if rn == 0:
+            return
+        p *= ratio(rn, (M - c + 1) * (1 + (c - 1) * eps))
+    yield p
+
+
 def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
-                  max_states: int, prune: bool) -> ChainMasses:
+                  max_states, prune: bool) -> ChainMasses:
     """Walk the suspect-path subtree chains of length d, classifying each.
 
     A chain (z_1 > ... > z_d >= 1) errs when prod z_h > prod (n - z_h),
@@ -253,21 +244,15 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
     tying chain keeps every prefix strictly above 1); the returned success
     mass is then meaningless.  With prune=False every branch is walked and
     error + tie + success totals exactly 1 in exact mode.
+
+    Level 1 is the (1, delta-1) urn over n-1 draws; level h > 1, given
+    z_{h-1} = prev, is the (1, delta-2) urn over prev-1 draws.
     """
     N = n - 1
     eps = delta - 2
-    zero = Fraction(0) if use_exact else 0.0
-    one = Fraction(1) if use_exact else 1.0
+    ratio = Fraction if use_exact else operator.truediv
+    zero, one = ratio(0, 1), ratio(1, 1)
     err = tie = succ = zero
-    if N == 0:
-        return ChainMasses(error=zero, tie=zero, success=one, states=0)
-
-    # conditional start values S[prev] = P(next = prev-1 | prev), prev >= 1
-    S = [None, one]
-    for prev in range(1, N + 1):
-        rn, rd = 1 + (prev - 1) * eps, (delta - 1) + (prev - 1) * eps
-        S.append(S[prev] * Fraction(rn, rd) if use_exact else S[prev] * rn / rd)
-
     states = 0
 
     def bump():
@@ -279,37 +264,33 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
                 f"{max_states} states; raise max_states to go further"
             )
 
-    # Per-prev conditional pmf Q[c] and upper tail T[c] = sum_{c' >= c} Q[c'].
-    # The final level's error region is a contiguous top range of c, so one
-    # tail lookup replaces the per-leaf loop there.
+    # starts[prev] = P(next = prev-1 | prev), the top of a level-h>1 pmf,
+    # grown on demand (the d = 1 walk never needs it)
+    starts = [None, one]
+
+    def start(prev: int):
+        for k in range(len(starts), prev + 1):
+            starts.append(starts[k - 1] * ratio(1 + (k - 2) * eps,
+                                                (delta - 1) + (k - 2) * eps))
+        return starts[prev]
+
+    # Per-prev conditional pmf Q[M-c] = P(c) and upper tail
+    # T[M-c] = P(count >= c).  The final level's error region is a
+    # contiguous top range of c, so one tail lookup replaces the per-leaf
+    # loop there.
     cond_cache: dict[int, tuple] = {}
 
     def cond_tables(prev: int) -> tuple:
         hit = cond_cache.get(prev)
-        if hit is not None:
-            return hit
-        M = prev - 1
-        Q = [zero] * (M + 1)
-        p = S[prev]
-        c = M
-        while c >= 0:
-            Q[c] = p
-            if c == 0 or p == zero:
-                break
-            rn = c * ((delta - 2) + (M - c) * eps)
-            rd = (M - c + 1) * (1 + (c - 1) * eps)
-            if rn == 0:
-                p = zero
-            elif use_exact:
-                p = p * Fraction(rn, rd)
-            else:
-                p = p * rn / rd
-            c -= 1
-        T = [zero] * (M + 2)
-        for c in range(M, 0, -1):
-            T[c] = T[c + 1] + Q[c]
-        cond_cache[prev] = (Q, T)
-        return Q, T
+        if hit is None:
+            M = prev - 1
+            Q = list(_pmf(delta - 2, M, eps, start(prev), ratio))
+            T = list(accumulate(Q))
+            pad = M + 1 - len(Q)  # counts below an exact zero of the pmf
+            Q += [zero] * pad
+            T += T[-1:] * pad
+            hit = cond_cache[prev] = (Q, T)
+        return hit
 
     def tail_close(prev: int, num: int, den: int, w):
         """Error and tie mass over the last level, closed in one lookup."""
@@ -318,28 +299,21 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
         M = prev - 1
         tot = num + den
         c_star = (n * den) // tot + 1
-        exact_tie = (n * den) % tot == 0
-        if c_star > M and not (exact_tie and 1 <= c_star - 1 <= M):
+        exact_tie = (n * den) % tot == 0 and 1 <= c_star - 1 <= M
+        if c_star > M and not exact_tie:
             return
         Q, T = cond_tables(prev)
         if c_star <= M:
-            err += w * T[c_star]
+            err += w * T[M - c_star]
         if exact_tie:
-            ct = c_star - 1
-            if 1 <= ct <= M:
-                tie += w * Q[ct]
+            tie += w * Q[M - c_star + 1]
 
-    def descend(h: int, prev: int, num: int, den: int, w):
-        """Classify all continuations given z_{h-1} = prev and a strictly
-        above-1 prefix product num/den."""
+    def level(h: int, M: int, pmf, num: int, den: int, w):
+        """Classify every continuation through level h, whose count has law
+        pmf over M, M-1, ..., 0 given the levels above; num/den is the
+        prefix product so far (above 1 when pruning) and w the mass here."""
         nonlocal err, tie, succ
-        if prune and h == d:
-            tail_close(prev, num, den, w)
-            return
-        M = prev - 1
-        p = S[prev]
-        c = M
-        while c >= 0:
+        for c, p in zip(range(M, -1, -1), pmf):
             if prune and c < d - h + 1:
                 break  # cannot strictly descend to z_d >= 1 from here
             if c == 0:
@@ -347,8 +321,6 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
                 if not prune:
                     succ += w * p
                 break
-            if p == zero:
-                break  # the pmf recurrence keeps every lower count at zero
             bump()
             wc = w * p
             num2 = num * c
@@ -358,71 +330,26 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
                     err += wc
                 elif num2 == den2:
                     tie += wc
+                elif prune:
+                    break  # lower counts only shrink the product further
                 else:
                     succ += wc
+            elif prune and num2 <= den2:
+                break
+            elif prune and h + 1 == d:
+                tail_close(c, num2, den2, wc)
             else:
-                if num2 > den2:
-                    descend(h + 1, c, num2, den2, wc)
-                elif prune:
-                    break
-                else:
-                    descend(h + 1, c, num2, den2, wc)
-            # step the conditional pmf down one count
-            rn = c * ((delta - 2) + (M - c) * eps)
-            rd = (M - c + 1) * (1 + (c - 1) * eps)
-            if rn == 0:
-                p = zero
-            elif use_exact:
-                p = p * Fraction(rn, rd)
-            else:
-                p = p * rn / rd
-            c -= 1
+                level(h + 1, c - 1, _pmf(delta - 2, c - 1, eps, start(c), ratio),
+                      num2, den2, wc)
 
-    # marginal P(Z1 = z1), stepped downward from z1 = N
     if use_exact:
-        num0 = den0 = 1
-        for i in range(N):
-            num0 *= 1 + i * eps
-            den0 *= delta + i * eps
-        p1 = Fraction(num0, den0)
+        top = Fraction(rising_product(1, eps, N), rising_product(delta, eps, N))
+        root = _pmf(delta - 1, N, eps, top, ratio)
     else:
-        p1 = 0.0
-        for i in range(N):
-            p1 += math.log1p(i * eps) - math.log(delta + i * eps)
-        p1 = math.exp(p1)
-    z1 = N
-    while z1 >= 0:
-        if prune and z1 < d:
-            break  # no strictly descending length-d chain starts this low
-        if z1 == 0:
-            if not prune:
-                succ += p1
-            break
-        bump()
-        num, den = z1, n - z1
-        if d == 1:
-            if num > den:
-                err += p1
-            elif num == den:
-                tie += p1
-            elif prune:
-                break
-            else:
-                succ += p1
-        else:
-            if num > den:
-                descend(2, z1, num, den, p1)
-            elif prune:
-                break
-            else:
-                descend(2, z1, num, den, p1)
-        rn = z1 * ((delta - 1) + (N - z1) * eps)
-        rd = (N - z1 + 1) * (1 + (z1 - 1) * eps)
-        if use_exact:
-            p1 = p1 * Fraction(rn, rd)
-        else:
-            p1 = p1 * rn / rd
-        z1 -= 1
+        # not stepped down from P(Z1 = N): at delta = 2 that is 2^-N, a
+        # float 0 from n = 1100 on, and every weight below it would be too
+        root = np.exp(_log_marginal(delta, n, np.arange(N, -1, -1))).tolist()
+    level(1, N, root, 1, 1, one)
     return ChainMasses(error=err, tie=tie, success=succ, states=states)
 
 
@@ -440,14 +367,10 @@ def pc_two_suspects(delta: int, d: int, n: int, exact=None,
     use_exact = _resolve_exact(exact, n)
     if d >= n:
         # the far suspect needs d+1 infected path nodes, more than exist
-        return DetectionResult(value=Fraction(1) if use_exact else 1.0,
-                               method="chain-enumeration",
-                               scenario="two-at-d")
+        return _wrap(Fraction(1), use_exact, "chain-enumeration", "two-at-d")
     masses = _chain_masses(delta, n, d, use_exact, max_states, prune=True)
-    pe = masses.error + masses.tie / 2
-    v = (Fraction(1) - pe) if use_exact else 1.0 - pe
-    return DetectionResult(value=v, method="chain-enumeration",
-                           scenario="two-at-d")
+    return DetectionResult(value=1 - (masses.error + masses.tie / 2),
+                           method="chain-enumeration", scenario="two-at-d")
 
 
 def two_suspect_chain_audit(delta: int, d: int, n: int, exact=True,
@@ -472,86 +395,14 @@ def two_suspect_survival_mass(delta: int, depth: int, n: int, exact=True,
     proper prefix strictly above 1, so this is an upper bound on the
     error + tie mass of pc_two_suspects at every d > depth.  Walking a
     few levels here certifies bounds for arbitrarily deep suspects where
-    enumerating the full chain space would be hopeless.
+    enumerating the full chain space would be hopeless.  Such a chain is
+    exactly an erring chain of the pruned walk at d = depth.
     """
     _check_delta_n(delta, n)
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    use_exact = bool(exact)
-    N = n - 1
-    eps = delta - 2
-    zero = Fraction(0) if use_exact else 0.0
-    one = Fraction(1) if use_exact else 1.0
-    if N == 0:
-        return zero
-    surv = zero
-
-    S = [None, one]
-    for prev in range(1, N + 1):
-        rn, rd = 1 + (prev - 1) * eps, (delta - 1) + (prev - 1) * eps
-        S.append(S[prev] * Fraction(rn, rd) if use_exact else S[prev] * rn / rd)
-
-    states = 0
-
-    def bump():
-        nonlocal states
-        states += 1
-        if states > max_states:
-            raise BudgetError(
-                f"survival walk for delta={delta}, n={n}, depth={depth} "
-                f"exceeded {max_states} states"
-            )
-
-    def descend(h, prev, num, den, w):
-        nonlocal surv
-        M = prev - 1
-        p = S[prev]
-        c = M
-        while c >= 1:
-            if p == zero:
-                break
-            bump()
-            num2 = num * c
-            den2 = den * (n - c)
-            if num2 > den2:
-                if h == depth:
-                    surv += w * p
-                else:
-                    descend(h + 1, c, num2, den2, w * p)
-            else:
-                break  # lower c only shrinks the product further
-            rn = c * ((delta - 2) + (M - c) * eps)
-            rd = (M - c + 1) * (1 + (c - 1) * eps)
-            p = zero if rn == 0 else (
-                p * Fraction(rn, rd) if use_exact else p * rn / rd)
-            c -= 1
-
-    if use_exact:
-        num0 = den0 = 1
-        for i in range(N):
-            num0 *= 1 + i * eps
-            den0 *= delta + i * eps
-        p1 = Fraction(num0, den0)
-    else:
-        acc = 0.0
-        for i in range(N):
-            acc += math.log1p(i * eps) - math.log(delta + i * eps)
-        p1 = math.exp(acc)
-    z1 = N
-    while z1 >= 1:
-        bump()
-        if z1 > n - z1:
-            if depth == 1:
-                surv += p1
-            else:
-                descend(2, z1, z1, n - z1, p1)
-        else:
-            break
-        rn = z1 * ((delta - 1) + (N - z1) * eps)
-        rd = (N - z1 + 1) * (1 + (z1 - 1) * eps)
-        p1 = p1 * Fraction(rn, rd) if use_exact else p1 * rn / rd
-        z1 -= 1
-    return surv
+    return _chain_masses(delta, n, depth, bool(exact), max_states,
+                         prune=True).error
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from scipy.special import betainc, gammaln
 
 from .errors import ValidationError
@@ -64,15 +65,17 @@ def rising_product(b: int, eps: int, x: int) -> int:
     return out
 
 
-def log_rising(b: float, eps: float, x: int) -> float:
-    """log of the rising product; -inf when the product is zero."""
-    if x == 0:
-        return 0.0
-    if eps == 0:
-        return x * math.log(b) if b > 0 else -math.inf
+def log_rising(b: float, eps: float, x):
+    """log of the rising product; -inf when the product is zero.
+
+    With b > 0, x may also be a NumPy array of counts (elementwise result).
+    """
     if b == 0:
-        return -math.inf
-    return x * math.log(eps) + float(gammaln(b / eps + x) - gammaln(b / eps))
+        return 0.0 if x == 0 else -math.inf
+    if eps == 0:
+        return x * math.log(b)
+    lg = gammaln(b / eps + x) - gammaln(b / eps)
+    return x * math.log(eps) + (lg if isinstance(x, np.ndarray) else float(lg))
 
 
 def polya_joint(spec: PolyaSpec, counts, exact=None):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rumorsource
 from rumorsource.cli import main
 
 
@@ -214,8 +217,12 @@ def test_figure_tiny_sweep(capsys):
 
 
 def test_console_script_installed():
+    # the child interpreter imports the same package as this test process
+    pkg_root = str(Path(rumorsource.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "rumorsource.cli", "exact",
                           "all-suspects", "--delta", "3", "--n", "4"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stdout.strip() == "0.4"

@@ -7,6 +7,7 @@ Feeding every final snapshot through the estimator (counting ties at
 half credit) gives the detection probability with zero shared code.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from rumorsource.exactprob import (ChainMasses, DetectionResult,
                                    single_subtree_tail,
                                    two_suspect_chain_audit,
                                    two_suspect_survival_mass)
+from rumorsource.urn import path_chain_joint, tree_split_marginal
 
 
 @pytest.mark.parametrize("delta,nmax", [(2, 8), (3, 7), (4, 5)])
@@ -106,6 +108,17 @@ def test_tail_identity_degree_two():
         assert single_subtree_tail(2, n, exact=True) == want
 
 
+@pytest.mark.parametrize("delta", [3, 4, 12])
+def test_tail_matches_marginal_sum(delta):
+    # the tail summed straight from the urn marginal of one subtree
+    for n in range(1, 41):
+        want = sum(tree_split_marginal(delta, x, n, exact=True)
+                   for x in range(n) if 2 * x > n)
+        if n % 2 == 0:
+            want += tree_split_marginal(delta, n // 2, n, exact=True) / 2
+        assert single_subtree_tail(delta, n, exact=True) == want, (delta, n)
+
+
 def test_float_mode_tracks_exact():
     for delta, n in [(3, 50), (4, 80), (6, 120)]:
         ex = float(pc_all_suspects(delta, n, exact=True).value)
@@ -117,6 +130,16 @@ def test_float_mode_tracks_exact():
     ex = float(pc_two_suspects(3, 2, 60, exact=True).value)
     fl = pc_two_suspects(3, 2, 60, exact=False).value
     assert math.isclose(ex, fl, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1000, 1100, 2000])
+def test_float_chain_walk_degree_two_large_n(n):
+    # P(Z1 = n-1) = 2^-(n-1) underflows a float from n = 1100 on; the walk
+    # must not read that as sure detection
+    for d in (1, 2):
+        ex = float(pc_two_suspects(2, d, n, exact=True).value)
+        fl = pc_two_suspects(2, d, n, exact=False).value
+        assert math.isclose(ex, fl, rel_tol=1e-9), (n, d, ex, fl)
 
 
 def test_lower_bound_wraps_connected():
@@ -165,6 +188,8 @@ def test_chain_audit_sums_to_one():
 def test_two_suspect_budget():
     with pytest.raises(BudgetError):
         pc_two_suspects(3, 4, 200, exact=True, max_states=50)
+    with pytest.raises(BudgetError):
+        two_suspect_survival_mass(3, 3, 200, max_states=50)
 
 
 def test_survival_mass_bounds_deep_misses():
@@ -181,6 +206,25 @@ def test_survival_mass_bounds_deep_misses():
     vals = [two_suspect_survival_mass(3, depth, 16) for depth in range(1, 6)]
     for a, b in zip(vals, vals[1:]):
         assert a >= b
+
+
+def test_survival_mass_matches_chain_sum():
+    # brute force over every strictly decreasing chain z_1 > ... > z_depth
+    # >= 1 whose prefix products z_h / (n - z_h) all exceed 1
+    for delta in (2, 3, 4):
+        for n in range(1, 15):
+            for depth in (1, 2, 3):
+                want = Fraction(0)
+                for z in itertools.combinations(range(n - 1, 0, -1), depth):
+                    num = den = 1
+                    for c in z:
+                        num, den = num * c, den * (n - c)
+                        if num <= den:
+                            break
+                    else:
+                        want += path_chain_joint(delta, n, z, exact=True)
+                got = two_suspect_survival_mass(delta, depth, n)
+                assert got == want, (delta, n, depth)
 
 
 def test_survival_mass_validation():
