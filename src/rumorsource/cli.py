@@ -13,9 +13,10 @@ import sys
 
 from .errors import BudgetError, CapacityError, ValidationError
 from .estimator import SuspectSet, map_estimate
-from .exactprob import (DetectionResult, pc_all_suspects, pc_conditional,
-                        pc_connected, pc_general_lower_bound,
-                        pc_two_suspects, phi1, phi2, phi3)
+from .exactprob import (DEFAULT_STATE_BUDGET, DetectionResult,
+                        pc_all_suspects, pc_conditional, pc_connected,
+                        pc_general_lower_bound, pc_two_suspects, phi1, phi2,
+                        phi3)
 from .harness import (ExperimentConfig, figure_sweep, reports_to_csv,
                       run_experiment)
 from .spread import (SpreadConfig, simulate_si, snapshot_from_json,
@@ -80,6 +81,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_exact(args) -> int:
     scenario = args.scenario
+    if args.max_states < 1:
+        raise ValidationError(f"--max-states must be >= 1, got {args.max_states}")
     if scenario == "all-suspects":
         res = pc_all_suspects(args.delta, args.n, exact=args.exact_arith)
     elif scenario == "connected-k":
@@ -89,7 +92,8 @@ def _cmd_exact(args) -> int:
     elif scenario == "two-at-d":
         if args.d is None:
             raise ValidationError("two-at-d needs --d")
-        res = pc_two_suspects(args.delta, args.d, args.n, exact=args.exact_arith)
+        res = pc_two_suspects(args.delta, args.d, args.n, exact=args.exact_arith,
+                              max_states=args.max_states)
     elif scenario == "general-k-bound":
         if args.k is None:
             raise ValidationError("general-k-bound needs --k")
@@ -200,6 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="force rational (or float) arithmetic; default: "
                         "rational up to n=500")
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_BUDGET,
+                   help="state budget of the two-at-d chain walk "
+                        "(default %(default)s); exit 3 when exceeded")
     p.add_argument("--format", choices=["plain", "json"], default="plain")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_exact)

@@ -8,7 +8,9 @@ every exact engine here:
   product of size odds z_h / (n - z_h) along it exceeds (or equals) 1.
   Only chains whose every prefix keeps that product above 1 can end in an
   error, which prunes the walk to a thin wedge and keeps exact rational
-  enumeration cheap; the last level closes with one upper-tail lookup.
+  enumeration cheap.  The last level closes in closed form: its count is
+  beta-binomial with beta = 1, whose tail telescopes into a ratio of two
+  entries of one prefix-product table, so the walk holds O(n) memory.
 * the single-subtree tail is the d = 1 case: one fixed neighbor subtree of
   the true source swallows more than half of the infection (plus half the
   mass of an exact half split).  Detection fails through a suspect
@@ -17,8 +19,10 @@ every exact engine here:
 * the survival bound for deep suspect pairs is the error mass of the
   pruned walk at d = depth.
 
-Counts are exact Fractions by default up to n = 500, log-gamma floats
-beyond; tie mass always enters with weight 1/2 (fair coin).
+Counts are exact Fractions by default up to n = 500, floats beyond.  A
+float root law is stepped by its pmf ratios and divided by its sum
+(`urn.tree_split_marginal_pmf`), not built from log-gamma terms.  Tie mass
+always enters with weight 1/2 (fair coin).
 """
 
 from __future__ import annotations
@@ -28,14 +32,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-
-import numpy as np
-from scipy.special import gammaln
 
 from .errors import BudgetError, ValidationError
-from .urn import (_resolve_exact, incomplete_beta, log_rising,
-                  rising_product)
+from .urn import (_resolve_exact, incomplete_beta, rising_product,
+                  tree_split_marginal_pmf)
 
 # Visited-state cap for the two-suspect chain walk.
 DEFAULT_STATE_BUDGET = 3_000_000
@@ -77,28 +77,11 @@ def _tail_exact(delta: int, n: int) -> Fraction:
 
 
 def _tail_float(delta: int, n: int) -> float:
-    N = n - 1
-    if N == 0:
-        return 0.0
-    xs = np.arange(n // 2 + 1, N + 1, dtype=np.float64)
-    total = 0.0
-    if xs.size:
-        lp = _log_marginal(delta, n, xs)
-        m = lp.max()
-        total = math.exp(m) * float(np.exp(lp - m).sum())
-    if n % 2 == 0 and n // 2 <= N:
-        total += 0.5 * math.exp(float(_log_marginal(delta, n, np.array([n / 2]))[0]))
+    p = tree_split_marginal_pmf(delta, n)
+    total = float(p[n // 2 + 1:].sum())
+    if n % 2 == 0:
+        total += 0.5 * float(p[n // 2])
     return total
-
-
-def _log_marginal(delta: int, n: int, xs):
-    """log P(X1 = x) for the (1, delta-1) split urn, vectorized over xs."""
-    N = n - 1
-    eps = delta - 2
-    ys = N - xs
-    return (gammaln(N + 1) - gammaln(xs + 1) - gammaln(ys + 1)
-            + log_rising(1, eps, xs) + log_rising(delta - 1, eps, ys)
-            - log_rising(delta, eps, N))
 
 
 def single_subtree_tail(delta: int, n: int, exact=None):
@@ -274,26 +257,17 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
                                                 (delta - 1) + (k - 2) * eps))
         return starts[prev]
 
-    # Per-prev conditional pmf Q[M-c] = P(c) and upper tail
-    # T[M-c] = P(count >= c).  The final level's error region is a
-    # contiguous top range of c, so one tail lookup replaces the per-leaf
-    # loop there.
-    cond_cache: dict[int, tuple] = {}
-
-    def cond_tables(prev: int) -> tuple:
-        hit = cond_cache.get(prev)
-        if hit is None:
-            M = prev - 1
-            Q = list(_pmf(delta - 2, M, eps, start(prev), ratio))
-            T = list(accumulate(Q))
-            pad = M + 1 - len(Q)  # counts below an exact zero of the pmf
-            Q += [zero] * pad
-            T += T[-1:] * pad
-            hit = cond_cache[prev] = (Q, T)
-        return hit
+    # Given prev = M + 1, the last count C is beta-binomial(M, 1/eps, 1),
+    # whose lower tail telescopes (hockey-stick identity):
+    #     P(C < c) = keep[M] / keep[c-1]
+    #     P(C = c) = keep[M] / keep[c] / (1 + c eps)
+    # with keep[m] = prod_{j=1..m} j eps / (1 + j eps).  One table, grown on
+    # demand, serves every prev; in floats keep[m] decays only like
+    # m^(-1/eps), so it does not underflow.
+    keep = [one]
 
     def tail_close(prev: int, num: int, den: int, w):
-        """Error and tie mass over the last level, closed in one lookup."""
+        """Error and tie mass over the last level, closed in O(1)."""
         nonlocal err, tie
         bump()
         M = prev - 1
@@ -302,11 +276,19 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
         exact_tie = (n * den) % tot == 0 and 1 <= c_star - 1 <= M
         if c_star > M and not exact_tie:
             return
-        Q, T = cond_tables(prev)
+        if eps == 0:  # delta = 2: the last count is M for sure
+            if c_star <= M:
+                err += w
+            else:
+                tie += w  # exact tie at c_star - 1 = M
+            return
+        for k in range(len(keep), M + 1):
+            keep.append(keep[k - 1] * ratio(k * eps, 1 + k * eps))
         if c_star <= M:
-            err += w * T[M - c_star]
+            err += w * (one - keep[M] / keep[c_star - 1])
         if exact_tie:
-            tie += w * Q[M - c_star + 1]
+            c = c_star - 1
+            tie += w * (keep[M] / keep[c] / (1 + c * eps))
 
     def level(h: int, M: int, pmf, num: int, den: int, w):
         """Classify every continuation through level h, whose count has law
@@ -348,7 +330,7 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
     else:
         # not stepped down from P(Z1 = N): at delta = 2 that is 2^-N, a
         # float 0 from n = 1100 on, and every weight below it would be too
-        root = np.exp(_log_marginal(delta, n, np.arange(N, -1, -1))).tolist()
+        root = tree_split_marginal_pmf(delta, n)[::-1].tolist()
     level(1, N, root, 1, 1, one)
     return ChainMasses(error=err, tie=tie, success=succ, states=states)
 

@@ -65,17 +65,13 @@ def rising_product(b: int, eps: int, x: int) -> int:
     return out
 
 
-def log_rising(b: float, eps: float, x):
-    """log of the rising product; -inf when the product is zero.
-
-    With b > 0, x may also be a NumPy array of counts (elementwise result).
-    """
+def log_rising(b: float, eps: float, x: int) -> float:
+    """log of the rising product; -inf when the product is zero."""
     if b == 0:
         return 0.0 if x == 0 else -math.inf
     if eps == 0:
         return x * math.log(b)
-    lg = gammaln(b / eps + x) - gammaln(b / eps)
-    return x * math.log(eps) + (lg if isinstance(x, np.ndarray) else float(lg))
+    return x * math.log(eps) + float(gammaln(b / eps + x) - gammaln(b / eps))
 
 
 def polya_joint(spec: PolyaSpec, counts, exact=None):
@@ -139,6 +135,33 @@ def tree_split_marginal(delta: int, x1: int, n: int, exact=None):
         raise ValidationError(f"n must be >= 1, got {n}")
     spec = PolyaSpec(initial=(1, delta - 1), increment=delta - 2, draws=n - 1)
     return polya_joint(spec, (x1, n - 1 - x1), exact=exact)
+
+
+def tree_split_marginal_pmf(delta: int, n: int) -> np.ndarray:
+    """Float P(X1 = c) for c = 0..n-1: tree_split_marginal over every count.
+
+    Steps P(c) / P(c-1) = (N-c+1)(1+(c-1)eps) / (c(delta-1+(N-c)eps)),
+    N = n-1, outward from the mode, then divides by the sum; no log-gamma
+    enters.  Every step taken moves away from the mode, so its factor is at
+    most 1 and the products cannot overflow.  The law is unimodal: at
+    delta >= 3 every factor is below 1 (mode 0); at delta = 2 the factors
+    fall through 1 once.
+    """
+    if delta < 2:
+        raise ValidationError(f"degree must be >= 2, got {delta}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    N = n - 1
+    eps = delta - 2
+    c = np.arange(1, N + 1, dtype=np.float64)
+    # step[c-1] = P(c) / P(c-1)
+    step = (N - c + 1) * (1 + (c - 1) * eps) / (c * (delta - 1 + (N - c) * eps))
+    mode = int(np.count_nonzero(step >= 1))
+    p = np.ones(N + 1)
+    p[mode + 1:] = np.cumprod(step[mode:])
+    if mode:
+        p[:mode] = np.cumprod(1 / step[mode - 1::-1])[::-1]
+    return p / p.sum()
 
 
 def incomplete_beta(x: float, alpha: float, beta: float) -> float:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rumorsource
 from rumorsource.cli import main
@@ -66,6 +70,47 @@ def test_exact_bad_degree_is_validation_error(capsys):
     code, _, _ = run_cli(["exact", "all-suspects", "--delta", "1", "--n", "4"],
                          capsys)
     assert code == 4
+
+
+def test_exact_max_states(capsys):
+    argv = ["exact", "two-at-d", "--delta", "3", "--n", "100", "--d", "4"]
+    code, out, err = run_cli(argv + ["--max-states", "1000"], capsys)
+    assert code == 3 and out == ""
+    assert "1000 states" in err and "Traceback" not in err
+    code, _, err = run_cli(argv + ["--max-states", "0"], capsys)
+    assert code == 4 and err.startswith("error:")
+
+
+_OPTIONAL_INT = st.none() | st.integers(-2, 45)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scenario=st.sampled_from(["all-suspects", "connected-k", "two-at-d",
+                                 "general-k-bound", "conditional"]),
+       delta=st.integers(-1, 13), n=st.integers(-2, 40),
+       k=_OPTIONAL_INT, d=_OPTIONAL_INT, m=_OPTIONAL_INT,
+       fmt=st.sampled_from(["plain", "json"]), floats=st.booleans(),
+       max_states=st.integers(1, 20_000))
+def test_exact_fuzz_never_tracebacks(scenario, delta, n, k, d, m, fmt, floats,
+                                     max_states):
+    # the state cap keeps deep two-at-d walks (d >= 11) from running to the
+    # default budget of 3M states
+    argv = ["exact", scenario, "--delta", str(delta), "--n", str(n),
+            "--format", fmt, "--max-states", str(max_states)]
+    for flag, value in (("--k", k), ("--d", d), ("--m", m)):
+        if value is not None:
+            argv += [flag, str(value)]
+    if floats:
+        argv.append("--no-exact-arith")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        text = out.getvalue()
+        value = json.loads(text)["value"] if fmt == "json" else float(text)
+        assert 0.0 <= value <= 1.0, (argv, value)
 
 
 def test_asymptotic_values(capsys):

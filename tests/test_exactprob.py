@@ -9,6 +9,7 @@ half credit) gives the detection probability with zero shared code.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,33 @@ def test_float_chain_walk_degree_two_large_n(n):
         assert math.isclose(ex, fl, rel_tol=1e-9), (n, d, ex, fl)
 
 
+@pytest.mark.parametrize("delta,n", [(3, 1200), (4, 2000), (50, 2000)])
+def test_float_tail_tracks_exact_large_n(delta, n):
+    # the self-normalized root law keeps float tails near rounding level
+    ex = float(single_subtree_tail(delta, n, exact=True))
+    fl = single_subtree_tail(delta, n, exact=False)
+    assert math.isclose(ex, fl, rel_tol=1e-13), (delta, n, ex, fl)
+
+
+@pytest.mark.parametrize("delta", [3, 12])
+def test_float_chain_walk_tracks_exact_large_n(delta):
+    ex = float(pc_two_suspects(delta, 2, 1200, exact=True).value)
+    fl = pc_two_suspects(delta, 2, 1200, exact=False).value
+    assert math.isclose(ex, fl, rel_tol=1e-12), (delta, ex, fl)
+
+
+def test_float_chain_walk_memory_is_linear():
+    # one prefix table serves the last level of every branch, so memory
+    # stays O(n); a table per branch would take about 430 MB at this n
+    tracemalloc.start()
+    try:
+        pc_two_suspects(3, 2, 4000, exact=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_lower_bound_wraps_connected():
     r = pc_general_lower_bound(4, 3, 25)
     assert r.method == "lower-bound"
@@ -164,6 +192,24 @@ def test_two_adjacent_equals_connected_pair():
         a = pc_two_suspects(3, 1, n, exact=True).value
         b = pc_connected(3, 2, n, exact=True).value
         assert a == b
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 12])
+def test_two_suspects_matches_chain_sum(delta):
+    # brute force over every strictly decreasing chain z_1 > ... > z_d >= 1:
+    # it errs when prod z_h > prod (n - z_h) and ties at equality
+    for n in range(1, 31):
+        for d in (2, 3):
+            err = tie = Fraction(0)
+            for z in itertools.combinations(range(n - 1, 0, -1), d):
+                num = math.prod(z)
+                den = math.prod(n - c for c in z)
+                if num > den:
+                    err += path_chain_joint(delta, n, z, exact=True)
+                elif num == den:
+                    tie += path_chain_joint(delta, n, z, exact=True)
+            got = pc_two_suspects(delta, d, n, exact=True).value
+            assert got == 1 - err - tie / 2, (delta, n, d)
 
 
 def test_two_suspects_methods():

@@ -18,7 +18,8 @@ from rumorsource.urn import (EXACT_DEFAULT_LIMIT, PolyaSpec, chain_root_pmf,
                              chain_step_pmf, incomplete_beta, limit_split_cdf,
                              log_rising, path_chain_joint, polya_joint,
                              rising_product, tree_split_joint,
-                             tree_split_marginal, tree_split_spec)
+                             tree_split_marginal, tree_split_marginal_pmf,
+                             tree_split_spec)
 
 
 ORACLE_SPECS = [
@@ -168,6 +169,23 @@ def test_tree_split_marginal_normalizes():
         for n in (1, 2, 6, 11):
             assert sum(tree_split_marginal(delta, x, n, exact=True)
                        for x in range(n)) == 1
+
+
+def test_tree_split_marginal_pmf_tracks_exact():
+    for delta in (2, 3, 4, 12):
+        for n in (1, 2, 3, 10, 41):
+            got = tree_split_marginal_pmf(delta, n)
+            assert len(got) == n
+            for x in range(n):
+                want = float(tree_split_marginal(delta, x, n, exact=True))
+                assert math.isclose(got[x], want, rel_tol=1e-13), (delta, n, x)
+    # at delta = 2 the extreme counts (2^-(n-1)) underflow; the law does not
+    p = tree_split_marginal_pmf(2, 3001)
+    assert p[0] == 0.0 and math.isclose(p.sum(), 1.0, rel_tol=1e-15)
+    want = float(tree_split_marginal(2, 1500, 3001, exact=True))
+    assert math.isclose(p[1500], want, rel_tol=1e-13)
+    with pytest.raises(ValidationError):
+        tree_split_marginal_pmf(1, 5)
 
 
 def test_chain_root_pmf():
