@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, ValidationError
-from .topology import Graph, Snapshot, shortest_path
+from .topology import Graph, Snapshot, _bfs_layers, shortest_path
 from .centrality import (_ancestors, _path_ratio, _subtree_sizes,
                          bfs_heuristic_centrality)
 
@@ -68,28 +68,19 @@ def make_suspects_all(snap: Snapshot) -> SuspectSet:
 
 
 def make_suspects_connected(g: Graph, anchor: int, k: int) -> SuspectSet:
-    """First k nodes in BFS order from anchor (lowest id first per layer)."""
+    """First k nodes in `_bfs_layers` order from anchor."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if anchor not in g:
         raise ValidationError(f"anchor {anchor} not in graph")
-    chosen = [anchor]
-    seen = {anchor}
-    layer = [anchor]
-    while len(chosen) < k:
-        nxt = []
-        for u in sorted(layer):
-            for v in sorted(g.neighbors(u)):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if not nxt:
-            raise CapacityError(
-                f"component of {anchor} has only {len(chosen)} nodes, need {k}"
-            )
-        chosen.extend(sorted(nxt)[:k - len(chosen)])
-        layer = nxt
-    return SuspectSet(chosen, pattern="connected", param=k)
+    chosen = []
+    for layer, _ in _bfs_layers(g, anchor):
+        chosen.extend(layer[:k - len(chosen)])
+        if len(chosen) == k:
+            return SuspectSet(chosen, pattern="connected", param=k)
+    raise CapacityError(
+        f"component of {anchor} has only {len(chosen)} nodes, need {k}"
+    )
 
 
 def make_suspects_two(g: Graph, a: int, b: int) -> SuspectSet:

@@ -78,6 +78,8 @@ class ExperimentConfig:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.backend not in BACKENDS:
             raise ValidationError(f"unknown backend {self.backend!r}")
         if self.scenario == "connected-k":

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BackendError, CapacityError, ValidationError
-from .topology import ExplicitGraph, Graph, LazyRegularTree, Snapshot
+from .topology import (ExplicitGraph, Graph, LazyRegularTree, Snapshot,
+                       bfs_tree)
 
 BACKENDS = ("uniform-boundary", "exponential-clocks")
 
@@ -35,6 +36,8 @@ class SpreadConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"need n >= 1 infections, got {self.n}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.source < 0:
             raise ValidationError(f"source must be a node id, got {self.source}")
         if self.backend not in BACKENDS:
@@ -49,26 +52,13 @@ def simulate_si(g: Graph, cfg: SpreadConfig) -> Snapshot:
         raise ValidationError(f"source {cfg.source} not in graph")
     rng = np.random.default_rng(cfg.seed)
     if cfg.backend == "uniform-boundary":
-        if isinstance(g, ExplicitGraph) and not _component_is_tree(g, cfg.source):
+        if (isinstance(g, ExplicitGraph)
+                and not bfs_tree(g, cfg.source).is_host_tree()):
             raise BackendError(
                 "uniform-boundary backend needs a tree; use exponential-clocks"
             )
         return _run_uniform_boundary(g, cfg, rng)
     return _run_exponential_clocks(g, cfg, rng)
-
-
-def _component_is_tree(g: ExplicitGraph, start: int) -> bool:
-    seen = {start}
-    stack = [start]
-    edges = 0
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors(u):
-            edges += 1
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return edges == 2 * (len(seen) - 1)
 
 
 def _run_uniform_boundary(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
@@ -180,7 +170,7 @@ def snapshot_from_dict(doc: dict, host: Graph | None = None) -> Snapshot:
         pairs = [(int(u), int(p)) for u, p in doc["parents"]]
         root = int(doc.get("source", nodes[0] if nodes else -1))
         n = int(doc.get("n", len(nodes)))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValidationError(f"malformed snapshot document: {e}") from None
     pos = {v: i for i, v in enumerate(nodes)}
     if len(pos) != len(nodes):

@@ -9,7 +9,7 @@ always the origin.
 
 from __future__ import annotations
 
-import threading
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, NoPathError, ParseError, ValidationError
@@ -77,9 +77,13 @@ class ExplicitGraph(Graph):
 class LazyRegularTree(Graph):
     """Infinite degree-regular tree, materialized on first neighbor access.
 
-    Every node has degree `delta` once expanded.  Children get fresh dense
-    ids in creation order, so a fresh tree walked the same way yields the
-    same ids.  Expansion is locked so a built tree can be shared read-only.
+    Every node has degree `delta` once expanded.  Per-node state is two flat
+    integer columns: `_parent[u]` (-1 at the origin) and `_first[u]`, the
+    first id of u's child block, or 0 while u is unexpanded (0 is never a
+    child).  Expanding u appends its children as one block of fresh ids, so
+    a parent's id is below its children's and a fresh tree walked the same
+    way yields the same ids.  Growth is unsynchronized: `neighbors` may
+    append, so share a tree between threads only once it is fully grown.
     """
 
     kind = "lazy-regular"
@@ -88,52 +92,51 @@ class LazyRegularTree(Graph):
         if delta < 2:
             raise ValidationError(f"degree must be >= 2, got {delta}")
         self.delta = delta
-        self._adj: list[list[int]] = [[]]
-        self._expanded: list[bool] = [False]
-        self._parent: list[int | None] = [None]
-        self._depth: list[int] = [0]
-        self._lock = threading.Lock()
+        self._parent = array("q", [-1])
+        self._first = array("q", [0])
 
     def __contains__(self, u: int) -> bool:
-        return 0 <= u < len(self._adj)
+        return 0 <= u < len(self._parent)
 
     @property
     def num_nodes(self) -> int:
         """Nodes materialized so far (the tree itself is unbounded)."""
-        return len(self._adj)
+        return len(self._parent)
 
     def parent(self, u: int) -> int | None:
-        return self._parent[u]
+        return self._parent[u] if u else None
 
     def depth(self, u: int) -> int:
-        return self._depth[u]
+        d = 0
+        while u:
+            u = self._parent[u]
+            d += 1
+        return d
 
     def neighbors(self, u: int) -> list[int]:
-        if not 0 <= u < len(self._adj):
+        """A fresh list: the parent (none at the origin), then the children."""
+        if not 0 <= u < len(self._parent):
             raise ValidationError(f"node {u} not materialized")
-        if not self._expanded[u]:
-            self._expand(u)
-        return self._adj[u]
+        first = self._first[u] or self._expand(u)
+        if u == 0:
+            return list(range(first, first + self.delta))
+        return [self._parent[u], *range(first, first + self.delta - 1)]
 
     def known_neighbors(self, u: int) -> list[int]:
         """Neighbors materialized so far, without triggering expansion."""
-        return self._adj[u]
+        if self._first[u]:
+            return self.neighbors(u)
+        return [self._parent[u]] if u else []
 
-    def _expand(self, u: int) -> None:
-        with self._lock:
-            if self._expanded[u]:
-                return
-            missing = self.delta - len(self._adj[u])
-            if len(self._adj) + missing > MAX_NODES:
-                raise CapacityError(f"materialized node limit {MAX_NODES} exceeded")
-            for _ in range(missing):
-                child = len(self._adj)
-                self._adj.append([u])
-                self._expanded.append(False)
-                self._parent.append(u)
-                self._depth.append(self._depth[u] + 1)
-                self._adj[u].append(child)
-            self._expanded[u] = True
+    def _expand(self, u: int) -> int:
+        first = len(self._parent)
+        count = self.delta - 1 if u else self.delta
+        if first + count > MAX_NODES:
+            raise CapacityError(f"materialized node limit {MAX_NODES} exceeded")
+        self._parent.extend([u] * count)
+        self._first.extend([0] * count)
+        self._first[u] = first
+        return first
 
     def path_from_origin(self, length: int) -> list[int]:
         """Materialize one descending path; returns length+1 node ids."""
@@ -142,9 +145,7 @@ class LazyRegularTree(Graph):
         path = [0]
         for _ in range(length):
             u = path[-1]
-            ns = self.neighbors(u)
-            p = self._parent[u]
-            path.append(min(v for v in ns if v != p))
+            path.append(self._first[u] or self._expand(u))
         return path
 
 
@@ -166,14 +167,9 @@ def regular_tree(delta: int, radius: int) -> LazyRegularTree:
             f"limit {MAX_NODES}"
         )
     g = LazyRegularTree(delta)
-    frontier = [0]
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if g.depth(v) > g.depth(u):
-                    nxt.append(v)
-        frontier = nxt
+    # ids grow outward, so the interior is exactly the ids below the shell's
+    for u in range(ball_size(delta, radius - 1) if radius else 0):
+        g._expand(u)
     return g
 
 
@@ -245,14 +241,6 @@ class Snapshot:
     def __contains__(self, u: int) -> bool:
         return u in self.nodes
 
-    def children_map(self) -> dict[int, list[int]]:
-        ch: dict[int, list[int]] = {u: [] for u in self.order}
-        for u in self.order:
-            p = self.parent_of[u]
-            if p is not None:
-                ch[p].append(u)
-        return ch
-
     def is_host_tree(self) -> bool:
         """True when the host-induced subgraph on these nodes is a tree.
 
@@ -268,11 +256,32 @@ class Snapshot:
         return twice_edges == 2 * (self.n - 1)
 
 
-def bfs_tree(g: Graph, root: int, restrict=None) -> Snapshot:
-    """Breadth-first spanning tree of `restrict` (or all of g) from root.
+def _bfs_layers(g: Graph, root: int, restrict=None):
+    """Breadth-first layers from root, each in ascending id order.
 
-    Deterministic: layers are processed in ascending id order, so a node
-    discoverable from several previous-layer nodes gets the lowest-id parent.
+    The package's one BFS rule: a layer's nodes, and each node's neighbors,
+    are scanned in ascending id order, so a node reachable from several
+    nodes of the previous layer gets the lowest-id parent.  Yields
+    (layer, parent) where `parent` maps every node reached so far to its
+    BFS parent (root to None).  Nodes outside `restrict` are never entered.
+    A layer is expanded only when the next one is asked for.
+    """
+    parent: dict[int, int | None] = {root: None}
+    layer = [root]
+    while layer:
+        yield layer, parent
+        nxt = []
+        for u in layer:
+            for v in sorted(g.neighbors(u)):
+                if v not in parent and (restrict is None or v in restrict):
+                    parent[v] = u
+                    nxt.append(v)
+        layer = sorted(nxt)
+
+
+def bfs_tree(g: Graph, root: int, restrict=None) -> Snapshot:
+    """Breadth-first spanning tree of `restrict` (or all of g) from root,
+    ordered and parented by `_bfs_layers`.
     """
     if restrict is not None:
         restrict = frozenset(restrict)
@@ -280,19 +289,9 @@ def bfs_tree(g: Graph, root: int, restrict=None) -> Snapshot:
             raise ValidationError(f"root {root} not in restriction set")
     if root not in g:
         raise ValidationError(f"root {root} not in graph")
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    layer = [root]
-    while layer:
-        nxt = []
-        for u in sorted(layer):
-            for v in sorted(g.neighbors(u)):
-                if v in parent or (restrict is not None and v not in restrict):
-                    continue
-                parent[v] = u
-                nxt.append(v)
-        order.extend(sorted(nxt))
-        layer = nxt
+    order = []
+    for layer, parent in _bfs_layers(g, root, restrict):
+        order.extend(layer)
     if restrict is not None and len(parent) != len(restrict):
         missing = sorted(set(restrict) - set(parent))[:5]
         raise NoPathError(f"restriction set not connected from {root}: missing {missing}")
@@ -309,19 +308,10 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int]:
         return [u]
     if isinstance(g, LazyRegularTree):
         return _tree_path(g, u, v)
-    prev: dict[int, int] = {u: u}
-    layer = [u]
-    while layer:
-        nxt = []
-        for w in sorted(layer):
-            for x in sorted(g.neighbors(w)):
-                if x not in prev:
-                    prev[x] = w
-                    nxt.append(x)
+    for _, prev in _bfs_layers(g, u):
         if v in prev:
             break
-        layer = nxt
-    if v not in prev:
+    else:
         raise NoPathError(f"no path between {u} and {v}")
     path = [v]
     while path[-1] != u:
@@ -330,18 +320,12 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int]:
 
 
 def _tree_path(g: LazyRegularTree, u: int, v: int) -> list[int]:
-    # Walk parent chains to the common ancestor; touches no new nodes.
+    # Ancestors have smaller ids, so the larger end is never the common
+    # ancestor: climb from it until the walks meet.  Touches no new nodes.
     up, vp = [u], [v]
-    a, b = u, v
-    while g.depth(a) > g.depth(b):
-        a = g.parent(a)
-        up.append(a)
-    while g.depth(b) > g.depth(a):
-        b = g.parent(b)
-        vp.append(b)
-    while a != b:
-        a = g.parent(a)
-        b = g.parent(b)
-        up.append(a)
-        vp.append(b)
+    while up[-1] != vp[-1]:
+        if up[-1] > vp[-1]:
+            up.append(g.parent(up[-1]))
+        else:
+            vp.append(g.parent(vp[-1]))
     return up + vp[-2::-1]

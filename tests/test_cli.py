@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rumorsource
@@ -113,6 +113,117 @@ def test_exact_fuzz_never_tracebacks(scenario, delta, n, k, d, m, fmt, floats,
         assert 0.0 <= value <= 1.0, (argv, value)
 
 
+_INVALID = {"seed": st.integers(-3, -1), "delta": st.integers(-1, 1),
+            "n": st.integers(-2, 0), "trials": st.integers(-1, 0),
+            "k": st.integers(-2, 0), "d": st.integers(-2, 0)}
+_BACKEND = st.sampled_from([[], ["--backend=uniform-boundary"],
+                            ["--backend=exponential-clocks"]])
+
+
+@st.composite
+def _run_argv(draw):
+    """Argv that argparse accepts for simulate, experiment, figure and
+    asymptotic, at small n and trial counts: mostly valid, else with one
+    value out of range or one flag missing or stray."""
+    command = draw(st.sampled_from(["simulate", "experiment", "figure",
+                                    "asymptotic"]))
+    value = {"seed": draw(st.integers(0, 40)), "delta": draw(st.integers(2, 13)),
+             "n": draw(st.integers(1, 30)), "trials": draw(st.integers(1, 5)),
+             "k": draw(st.integers(1, 8)), "d": draw(st.integers(1, 4))}
+    fault = draw(st.sampled_from([None, None, None, "flag", *_INVALID]))
+    if fault in _INVALID:
+        value[fault] = draw(_INVALID[fault])
+
+    def flags(*names):
+        return [f"--{name}={value[name]}" for name in names]
+
+    if command == "simulate":
+        source = draw(st.sampled_from([[], [], ["--source=0"], ["--source=3"]]))
+        return (["simulate", *flags("n", "seed"), *source, *draw(_BACKEND)]
+                + ([] if fault == "flag" else flags("delta")))
+    if command == "experiment":
+        scenario = draw(st.sampled_from(["all-suspects", "connected-k",
+                                         "two-at-d"]))
+        own = {"connected-k": ["k"], "two-at-d": ["d"]}.get(scenario, [])
+        if fault == "flag":
+            own = ["d"] if own == ["k"] else ["k"]
+        fmt = draw(st.sampled_from(["csv", "json"]))
+        return ["experiment", f"--scenario={scenario}", f"--format={fmt}",
+                *flags("delta", "n", "trials", "seed", *own), *draw(_BACKEND)]
+    if command == "figure":
+        figure = draw(st.sampled_from(["fig7", "fig8", "fig9", "fig10"]))
+        more = draw(st.sampled_from(["", ",3"]))  # a second, valid entry
+        return ["figure", f"--figure={figure}", *flags("seed", "n", "trials"),
+                f"--deltas={value['delta']}{more}", f"--ks={value['k']}{more}",
+                f"--ds={value['d']}{more}"]
+    limit = draw(st.sampled_from(["phi1", "phi2", "phi3"]))
+    names = ["delta", "k"] if (limit == "phi2") != (fault == "flag") else ["delta"]
+    return ["asymptotic", limit, *flags(*names)]
+
+
+def _never_tracebacks(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=_run_argv())
+def test_run_commands_fuzz_never_traceback(argv):
+    _never_tracebacks(argv)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def _estimate_argv(draw, tmp_path):
+    """Estimate argv on a snapshot document written to tmp_path: mostly a
+    well-formed tree, else with its node order shuffled or one field (or the
+    whole document) replaced by random JSON; the host edge list is optional."""
+    ids = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8,
+                        unique=True))
+    pairs = [[v, ids[draw(st.integers(0, i - 1))]]
+             for i, v in enumerate(ids) if i]
+    doc = {"n": len(ids), "source": ids[0], "nodes": ids, "parents": pairs}
+    fault = draw(st.sampled_from([None] * 6 + ["shuffle", "document", *doc]))
+    if fault == "shuffle":
+        doc["nodes"] = draw(st.permutations(ids))
+    elif fault == "document":
+        doc = draw(_JSON)
+    elif fault:
+        doc[fault] = draw(_JSON)
+    snap_file = tmp_path / "snap.json"
+    snap_file.write_text(json.dumps(doc))
+    suspects = draw(st.lists(st.sampled_from(ids) | st.integers(-1, 12),
+                             min_size=1, max_size=4))
+    argv = ["estimate", f"--snapshot={snap_file}",
+            f"--suspects={','.join(map(str, suspects))}",
+            f"--tie-seed={draw(st.integers(-3, 3))}",
+            f"--format={draw(st.sampled_from(['json', 'csv']))}"]
+    if draw(st.booleans()):
+        extra = draw(st.lists(st.tuples(st.integers(-1, 12),
+                                        st.integers(-1, 12)), max_size=2))
+        graph_file = tmp_path / "host.txt"
+        graph_file.write_text("".join(f"{u} {v}\n" for u, v in pairs + extra))
+        argv.append(f"--edge-list={graph_file}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_estimate_fuzz_never_tracebacks(tmp_path, data):
+    _never_tracebacks(data.draw(_estimate_argv(tmp_path)))
+
+
 def test_asymptotic_values(capsys):
     code, out, _ = run_cli(["asymptotic", "phi1", "--delta", "3"], capsys)
     assert code == 0 and out.strip() == "0.25"
@@ -190,6 +301,15 @@ def test_estimate_bad_snapshot_exit_four(tmp_path, capsys, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_estimate_infinite_id_exit_four(tmp_path, capsys):
+    snap_file = tmp_path / "snap.json"
+    snap_file.write_text('{"nodes": [0, Infinity], "parents": [[1, 0]]}')
+    code, out, err = run_cli(["estimate", "--snapshot", str(snap_file),
+                              "--suspects", "0", "--tie-seed", "0"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_estimate_snapshot_directory_exit_four(tmp_path, capsys):
     code, _, err = run_cli(["estimate", "--snapshot", str(tmp_path),
                             "--suspects", "0", "--tie-seed", "0"], capsys)
@@ -249,6 +369,18 @@ def test_experiment_mismatched_flags_exit_four(capsys):
                           "--delta", "3", "--n", "10", "--trials", "5",
                           "--seed", "1", "--k", "2"], capsys)
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--delta", "3", "--n", "5"],
+    ["experiment", "--scenario", "all-suspects", "--delta", "3", "--n", "5",
+     "--trials", "3"],
+    ["figure", "--figure", "fig7", "--n", "5", "--trials", "3", "--deltas", "3"],
+], ids=["simulate", "experiment", "figure"])
+def test_negative_seed_exit_four(capsys, argv):
+    code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_figure_tiny_sweep(capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rumorsource.errors import CapacityError, NoPathError, ParseError, ValidationError
+from rumorsource.spread import SpreadConfig, simulate_si
 from rumorsource.topology import (ExplicitGraph, LazyRegularTree, ball_size,
                                   bfs_tree, load_edge_list, regular_tree,
                                   shortest_path)
@@ -187,8 +188,22 @@ def test_bfs_tree_single_node():
     assert snap.order == [0] and snap.n == 1
 
 
-def test_snapshot_children_map():
-    g = ExplicitGraph.from_edges([(0, 1), (1, 2), (1, 3)])
-    snap = bfs_tree(g, 0)
-    ch = snap.children_map()
-    assert ch[0] == [1] and sorted(ch[1]) == [2, 3] and ch[2] == []
+@pytest.mark.parametrize("delta", [2, 3, 4, 12])
+def test_tree_path_matches_bfs_over_parent_edges(delta):
+    g = LazyRegularTree(delta)
+    snap = simulate_si(g, SpreadConfig(source=0, n=60, seed=delta))
+    flat = ExplicitGraph.from_edges((v, g.parent(v)) for v in range(1, g.num_nodes))
+    rng = random.Random(delta)
+    for _ in range(50):
+        a, b = rng.choice(snap.order), rng.choice(snap.order)
+        assert shortest_path(g, a, b) == shortest_path(flat, a, b)
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 12])
+def test_neighbors_hands_out_a_copy(delta):
+    g = LazyRegularTree(delta)
+    snap = simulate_si(g, SpreadConfig(source=0, n=60, seed=delta))
+    for u in snap.order:
+        before = list(g.neighbors(u))
+        g.neighbors(u).append(-1)
+        assert g.neighbors(u) == before
