@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     except (CapacityError, BudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # unreadable or not UTF-8
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

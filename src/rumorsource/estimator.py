@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapacityError, ValidationError
 from .topology import Graph, Snapshot, _bfs_layers, shortest_path
@@ -27,33 +26,19 @@ class SuspectSet:
     """Candidate sources with an implied uniform prior.
 
     pattern is one of "all", "connected", "two", "general"; param carries k
-    (connected) or the distance d (two).  An explicit prior is accepted only
-    if it is uniform over the members.
+    (connected) or the distance d (two).
     """
 
     members: frozenset
     pattern: str = "general"
     param: int | None = None
 
-    def __init__(self, members, pattern="general", param=None, prior=None):
-        members = frozenset(members)
-        if not members:
+    def __post_init__(self):
+        object.__setattr__(self, "members", frozenset(self.members))
+        if not self.members:
             raise ValidationError("suspect set cannot be empty")
-        if pattern not in ("all", "connected", "two", "general"):
-            raise ValidationError(f"unknown suspect pattern {pattern!r}")
-        if prior is not None:
-            want = Fraction(1, len(members))
-            weights = dict(prior)
-            if set(weights) != set(members) or any(
-                Fraction(w) != want for w in weights.values()
-            ):
-                raise ValidationError(
-                    "only the uniform prior is supported; weights must all "
-                    f"equal 1/{len(members)}"
-                )
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "param", param)
+        if self.pattern not in ("all", "connected", "two", "general"):
+            raise ValidationError(f"unknown suspect pattern {self.pattern!r}")
 
     def __len__(self):
         return len(self.members)

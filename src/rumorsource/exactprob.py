@@ -8,9 +8,10 @@ every exact engine here:
   product of size odds z_h / (n - z_h) along it exceeds (or equals) 1.
   Only chains whose every prefix keeps that product above 1 can end in an
   error, which prunes the walk to a thin wedge and keeps exact rational
-  enumeration cheap.  The last level closes in closed form: its count is
-  beta-binomial with beta = 1, whose tail telescopes into a ratio of two
-  entries of one prefix-product table, so the walk holds O(n) memory.
+  enumeration cheap.  Below the root every level has one beta-binomial
+  law, stated by one prefix-product table (`_inv_table`): an inner level
+  only divides the carried weight, and the last level closes in closed
+  form from two table entries, so the walk holds O(n) memory.
 * the single-subtree tail is the d = 1 case: one fixed neighbor subtree of
   the true source swallows more than half of the infection (plus half the
   mass of an exact half split).  Detection fails through a suspect
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BudgetError, ValidationError
-from .urn import (_resolve_exact, incomplete_beta, rising_product,
+from .urn import (_resolve_exact, limit_split_cdf, rising_product,
                   tree_split_marginal_pmf)
 
 # Visited-state cap for the two-suspect chain walk.
@@ -195,24 +196,38 @@ class ChainMasses:
         return self.error + self.tie + self.success
 
 
-def _pmf(b: int, M: int, eps: int, top, ratio):
-    """Yield P(c) for c = M, M-1, ..., 0, where c counts the draws of the
-    one-ball color from a (1, b) urn adding eps balls per draw, over M
-    draws.  Starts at P(M) = top and steps down by
+def _pmf(delta: int, N: int):
+    """Yield the exact root law P(z_1 = c) for c = N, N-1, ..., 0.
 
-        P(c-1) = P(c) * c (b + (M-c) eps) / ((M-c+1) (1 + (c-1) eps))
+    z_1 counts the draws of the one-ball color from a (1, delta-1) urn
+    adding eps = delta-2 balls per draw, over N draws.  Starts at
+    P(N) = rise(1, eps, N) / rise(delta, eps, N) and steps down by
 
-    with the factor formed by ratio(numerator, denominator).  Stops early
-    when that factor is zero (b = eps = 0): every lower count has mass 0.
+        P(c-1) = P(c) * c (delta-1 + (N-c) eps) / ((N-c+1) (1 + (c-1) eps)).
     """
-    p = top
-    for c in range(M, 0, -1):
+    eps = delta - 2
+    p = Fraction(rising_product(1, eps, N), rising_product(delta, eps, N))
+    for c in range(N, 0, -1):
         yield p
-        rn = c * (b + (M - c) * eps)
-        if rn == 0:
-            return
-        p *= ratio(rn, (M - c + 1) * (1 + (c - 1) * eps))
+        p *= Fraction(c * (delta - 1 + (N - c) * eps),
+                      (N - c + 1) * (1 + (c - 1) * eps))
     yield p
+
+
+def _inv_table(eps: int, m: int, ratio) -> list:
+    """inv[k] = prod_{j=1..k} (1 + j eps) / (j eps) for k = 0..m (eps >= 1).
+
+    Below the root every step of the chain has one law: given z_{h-1} = p,
+    the count z_h is beta-binomial(p-1, 1/eps, 1), and
+
+        P(z_h = c | z_{h-1} = p) = inv[c] / (inv[p-1] (1 + c eps)).
+
+    In floats inv[k] grows only like k^(1/eps), so it does not overflow.
+    """
+    inv = [ratio(1, 1)]
+    for j in range(1, m + 1):
+        inv.append(inv[-1] * ratio(1 + j * eps, j * eps))
+    return inv
 
 
 def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
@@ -228,15 +243,20 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
     mass is then meaningless.  With prune=False every branch is walked and
     error + tie + success totals exactly 1 in exact mode.
 
-    Level 1 is the (1, delta-1) urn over n-1 draws; level h > 1, given
-    z_{h-1} = prev, is the (1, delta-2) urn over prev-1 draws.
+    Level 1 is the (1, delta-1) urn over n-1 draws.  Every level below it
+    follows the one step law of `_inv_table`, so the walk carries
+    W = mass / inv[z_{h-1} - 1]: the inv[c] of one step and the
+    1 / inv[c-1] of the next multiply to 1/(c eps), an inner level only
+    divides W by c eps, and the last level sums inv entries in closed form.
+    At delta = 2 (eps = 0) the chain below the root is surely
+    z_1, z_1 - 1, ..., so the root count fixes the whole chain.
     """
     N = n - 1
     eps = delta - 2
     ratio = Fraction if use_exact else operator.truediv
-    zero, one = ratio(0, 1), ratio(1, 1)
-    err = tie = succ = zero
+    err = tie = succ = ratio(0, 1)
     states = 0
+    inv = _inv_table(eps, N - 1, ratio) if eps and d > 1 else None
 
     def bump():
         nonlocal states
@@ -247,91 +267,68 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
                 f"{max_states} states; raise max_states to go further"
             )
 
-    # starts[prev] = P(next = prev-1 | prev), the top of a level-h>1 pmf,
-    # grown on demand (the d = 1 walk never needs it)
-    starts = [None, one]
-
-    def start(prev: int):
-        for k in range(len(starts), prev + 1):
-            starts.append(starts[k - 1] * ratio(1 + (k - 2) * eps,
-                                                (delta - 1) + (k - 2) * eps))
-        return starts[prev]
-
-    # Given prev = M + 1, the last count C is beta-binomial(M, 1/eps, 1),
-    # whose lower tail telescopes (hockey-stick identity):
-    #     P(C < c) = keep[M] / keep[c-1]
-    #     P(C = c) = keep[M] / keep[c] / (1 + c eps)
-    # with keep[m] = prod_{j=1..m} j eps / (1 + j eps).  One table, grown on
-    # demand, serves every prev; in floats keep[m] decays only like
-    # m^(-1/eps), so it does not underflow.
-    keep = [one]
-
-    def tail_close(prev: int, num: int, den: int, w):
-        """Error and tie mass over the last level, closed in O(1)."""
-        nonlocal err, tie
-        bump()
-        M = prev - 1
-        tot = num + den
-        c_star = (n * den) // tot + 1
-        exact_tie = (n * den) % tot == 0 and 1 <= c_star - 1 <= M
-        if c_star > M and not exact_tie:
-            return
-        if eps == 0:  # delta = 2: the last count is M for sure
-            if c_star <= M:
-                err += w
-            else:
-                tie += w  # exact tie at c_star - 1 = M
-            return
-        for k in range(len(keep), M + 1):
-            keep.append(keep[k - 1] * ratio(k * eps, 1 + k * eps))
-        if c_star <= M:
-            err += w * (one - keep[M] / keep[c_star - 1])
-        if exact_tie:
-            c = c_star - 1
-            tie += w * (keep[M] / keep[c] / (1 + c * eps))
-
-    def level(h: int, M: int, pmf, num: int, den: int, w):
-        """Classify every continuation through level h, whose count has law
-        pmf over M, M-1, ..., 0 given the levels above; num/den is the
-        prefix product so far (above 1 when pruning) and w the mass here."""
+    def classify(num: int, den: int, m) -> bool:
+        """Add the mass m of a whole chain with odds product num/den; False
+        when pruning and no lower last count can err or tie."""
         nonlocal err, tie, succ
-        for c, p in zip(range(M, -1, -1), pmf):
-            if prune and c < d - h + 1:
-                break  # cannot strictly descend to z_d >= 1 from here
-            if c == 0:
-                # far suspect misses the infection entirely
-                if not prune:
-                    succ += w * p
-                break
-            bump()
-            wc = w * p
-            num2 = num * c
-            den2 = den * (n - c)
-            if h == d:
-                if num2 > den2:
-                    err += wc
-                elif num2 == den2:
-                    tie += wc
-                elif prune:
-                    break  # lower counts only shrink the product further
-                else:
-                    succ += wc
-            elif prune and num2 <= den2:
-                break
-            elif prune and h + 1 == d:
-                tail_close(c, num2, den2, wc)
-            else:
-                level(h + 1, c - 1, _pmf(delta - 2, c - 1, eps, start(c), ratio),
-                      num2, den2, wc)
+        if num > den:
+            err += m
+        elif num == den:
+            tie += m
+        elif prune:
+            return False
+        else:
+            succ += m
+        return True
 
-    if use_exact:
-        top = Fraction(rising_product(1, eps, N), rising_product(delta, eps, N))
-        root = _pmf(delta - 1, N, eps, top, ratio)
-    else:
-        # not stepped down from P(Z1 = N): at delta = 2 that is 2^-N, a
-        # float 0 from n = 1100 on, and every weight below it would be too
-        root = tree_split_marginal_pmf(delta, n)[::-1].tolist()
-    level(1, N, root, 1, 1, one)
+    def walk(h: int, p: int, num: int, den: int, W):
+        """Classify every continuation through levels h..d given
+        z_{h-1} = p; num/den is the prefix product so far (above 1 when
+        pruning) and W the mass here over inv[p-1]."""
+        nonlocal err, tie, succ
+        if prune and h == d:
+            # the chain errs exactly from the last count c_star on
+            bump()
+            tot = num + den
+            c_star = n * den // tot + 1
+            if c_star < p:
+                err += W * (inv[p - 1] - inv[c_star - 1])
+            if n * den % tot == 0 and 1 < c_star <= p:
+                tie += W * inv[c_star - 1] / (1 + (c_star - 1) * eps)
+            return
+        # pruned chains must still strictly descend to z_d >= 1
+        for c in range(p - 1, d - h if prune else 0, -1):
+            bump()
+            num2, den2 = num * c, den * (n - c)
+            if h == d:
+                classify(num2, den2, W * inv[c] / (1 + c * eps))
+            elif prune and num2 <= den2:
+                break  # lower counts only shrink the product further
+            else:
+                walk(h + 1, c, num2, den2, W / (c * eps))
+        if not prune:
+            succ += W  # z_h = 0: the far suspect was never infected
+
+    # not stepped down from P(Z1 = N) in floats: at delta = 2 that is 2^-N,
+    # a float 0 from n = 1100 on, and every weight below it would be too
+    root = (_pmf(delta, N) if use_exact
+            else tree_split_marginal_pmf(delta, n)[::-1].tolist())
+    for z, r in zip(range(N, -1, -1), root):
+        if prune and z < d:
+            break  # cannot strictly descend to z_d >= 1
+        if z == 0 or (eps == 0 and z < d):
+            succ += r  # the chain hits 0 before level d
+            continue
+        bump()
+        if eps == 0 or d == 1:
+            # the whole chain is z, z-1, ..., z-d+1
+            if not classify(math.prod(range(z - d + 1, z + 1)),
+                            math.prod(range(n - z, n - z + d)), r):
+                break
+        elif prune and z <= n - z:
+            break
+        else:
+            walk(2, z, z, n - z, r / inv[z - 1])
     return ChainMasses(error=err, tie=tie, success=succ, states=states)
 
 
@@ -443,8 +440,8 @@ def audit_two_suspect_closed_form(n: int, d: int) -> dict:
 # asymptotics
 
 def _limit_tail(delta: int) -> float:
-    # limiting single-subtree tail: 1 - I_{1/2}(1/(delta-2), (delta-1)/(delta-2))
-    return 1.0 - incomplete_beta(0.5, 1.0 / (delta - 2), (delta - 1.0) / (delta - 2))
+    # limiting single-subtree tail: P(leading subtree share > 1/2)
+    return 1.0 - limit_split_cdf(delta, 0.5)
 
 
 def phi1(delta: int) -> float:
@@ -467,4 +464,4 @@ def phi3(delta: int) -> float:
     """Limit of the two-suspect detection probability at distance 1."""
     if delta < 3:
         raise ValidationError("limit exists only for degree >= 3")
-    return incomplete_beta(0.5, 1.0 / (delta - 2), (delta - 1.0) / (delta - 2))
+    return limit_split_cdf(delta, 0.5)

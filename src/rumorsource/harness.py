@@ -56,6 +56,16 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     return (lo, hi)
 
 
+def _check_run(n: int, trials: int, seed: int) -> None:
+    """Checks shared by one experiment and a whole figure sweep."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
@@ -74,12 +84,7 @@ class ExperimentConfig:
             )
         if self.delta < 2:
             raise ValidationError(f"degree must be >= 2, got {self.delta}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _check_run(self.n, self.trials, self.seed)
         if self.backend not in BACKENDS:
             raise ValidationError(f"unknown backend {self.backend!r}")
         if self.scenario == "connected-k":
@@ -247,6 +252,7 @@ def figure_sweep(figure: str, seed: int, n: int = 500, trials: int = 2000,
         raise ValidationError(
             f"unknown figure {figure!r}; choose from {sorted(_FIG_DEFAULTS)}"
         )
+    _check_run(n, trials, seed)  # also when an axis is empty
     defaults = _FIG_DEFAULTS[figure]
     deltas = tuple(deltas) if deltas is not None else defaults.get("deltas")
     ks = tuple(ks) if ks is not None else defaults.get("ks")

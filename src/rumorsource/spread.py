@@ -87,33 +87,21 @@ def _run_uniform_boundary(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
     return Snapshot(root=source, order=order, parent_of=parent, host=g)
 
 
-class _ExpStream:
+def _exp_draws(rng, chunk=2048):
     """Chunked Exp(1) draws so the clock backend avoids per-edge rng calls."""
-
-    def __init__(self, rng, chunk=2048):
-        self._rng = rng
-        self._chunk = chunk
-        self._buf = rng.exponential(size=chunk)
-        self._i = 0
-
-    def take(self) -> float:
-        if self._i == len(self._buf):
-            self._buf = self._rng.exponential(size=self._chunk)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
+    while True:
+        yield from rng.exponential(size=chunk)
 
 
 def _run_exponential_clocks(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
     source, n = cfg.source, cfg.n
-    draws = _ExpStream(rng)
+    draws = _exp_draws(rng)
     parent: dict[int, int | None] = {source: None}
     order = [source]
     heap: list[tuple[float, int, int]] = []
     t0 = 0.0
     for v in g.neighbors(source):
-        heapq.heappush(heap, (t0 + draws.take(), v, source))
+        heapq.heappush(heap, (t0 + next(draws), v, source))
     while len(order) < n:
         while heap and heap[0][1] in parent:
             heapq.heappop(heap)
@@ -126,7 +114,7 @@ def _run_exponential_clocks(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
         order.append(u)
         for w in g.neighbors(u):
             if w not in parent:
-                heapq.heappush(heap, (t + draws.take(), w, u))
+                heapq.heappush(heap, (t + next(draws), w, u))
     return Snapshot(root=source, order=order, parent_of=parent, host=g)
 
 

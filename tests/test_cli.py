@@ -186,22 +186,28 @@ _JSON = st.recursive(
 @st.composite
 def _estimate_argv(draw, tmp_path):
     """Estimate argv on a snapshot document written to tmp_path: mostly a
-    well-formed tree, else with its node order shuffled or one field (or the
-    whole document) replaced by random JSON; the host edge list is optional."""
+    well-formed tree, else with its node order shuffled, one field (or the
+    whole document) replaced by random JSON, or random bytes spliced into the
+    file; the host edge list is optional."""
     ids = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8,
                         unique=True))
     pairs = [[v, ids[draw(st.integers(0, i - 1))]]
              for i, v in enumerate(ids) if i]
     doc = {"n": len(ids), "source": ids[0], "nodes": ids, "parents": pairs}
-    fault = draw(st.sampled_from([None] * 6 + ["shuffle", "document", *doc]))
+    fault = draw(st.sampled_from([None] * 6 + ["shuffle", "document", "bytes",
+                                              *doc]))
     if fault == "shuffle":
         doc["nodes"] = draw(st.permutations(ids))
     elif fault == "document":
         doc = draw(_JSON)
-    elif fault:
+    elif fault in doc:
         doc[fault] = draw(_JSON)
+    raw = json.dumps(doc).encode()
+    if fault == "bytes":  # random bytes spliced in, mostly not UTF-8
+        cut = draw(st.integers(0, len(raw)))
+        raw = raw[:cut] + draw(st.binary(min_size=1, max_size=4)) + raw[cut:]
     snap_file = tmp_path / "snap.json"
-    snap_file.write_text(json.dumps(doc))
+    snap_file.write_bytes(raw)
     suspects = draw(st.lists(st.sampled_from(ids) | st.integers(-1, 12),
                              min_size=1, max_size=4))
     argv = ["estimate", f"--snapshot={snap_file}",
@@ -310,6 +316,15 @@ def test_estimate_infinite_id_exit_four(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_estimate_non_utf8_snapshot_exit_four(tmp_path, capsys):
+    snap_file = tmp_path / "snap.json"
+    snap_file.write_bytes(b'\xff\xfe{"nodes": [0], "parents": []}')
+    code, out, err = run_cli(["estimate", "--snapshot", str(snap_file),
+                              "--suspects", "0", "--tie-seed", "0"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_estimate_snapshot_directory_exit_four(tmp_path, capsys):
     code, _, err = run_cli(["estimate", "--snapshot", str(tmp_path),
                             "--suspects", "0", "--tie-seed", "0"], capsys)
@@ -333,6 +348,16 @@ def test_simulate_capacity_exit_three(tmp_path, capsys):
                             "--source", "0", "--n", "10", "--seed", "1"],
                            capsys)
     assert code == 3 and "error" in err
+
+
+def test_simulate_non_utf8_edge_list_exit_four(tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_bytes(b"\xff\xfe0 1\n1 2\n")
+    code, out, err = run_cli(["simulate", "--edge-list", str(graph_file),
+                              "--source", "0", "--n", "2", "--seed", "1"],
+                             capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_simulate_without_topology_exit_four(capsys):
@@ -376,7 +401,8 @@ def test_experiment_mismatched_flags_exit_four(capsys):
     ["experiment", "--scenario", "all-suspects", "--delta", "3", "--n", "5",
      "--trials", "3"],
     ["figure", "--figure", "fig7", "--n", "5", "--trials", "3", "--deltas", "3"],
-], ids=["simulate", "experiment", "figure"])
+    ["figure", "--figure", "fig7", "--n", "5", "--trials", "2", "--deltas="],
+], ids=["simulate", "experiment", "figure", "figure-empty-axis"])
 def test_negative_seed_exit_four(capsys, argv):
     code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
     assert code == 4 and out == ""

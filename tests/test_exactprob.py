@@ -16,7 +16,7 @@ import pytest
 
 from oracles import detection_prob_by_enumeration
 from rumorsource.errors import BudgetError, ValidationError
-from rumorsource.exactprob import (ChainMasses, DetectionResult,
+from rumorsource.exactprob import (ChainMasses, DetectionResult, _inv_table,
                                    audit_two_suspect_closed_form,
                                    line_two_suspect_expression,
                                    pc_all_suspects, pc_conditional,
@@ -25,7 +25,8 @@ from rumorsource.exactprob import (ChainMasses, DetectionResult,
                                    single_subtree_tail,
                                    two_suspect_chain_audit,
                                    two_suspect_survival_mass)
-from rumorsource.urn import path_chain_joint, tree_split_marginal
+from rumorsource.urn import (chain_step_pmf, path_chain_joint,
+                             tree_split_marginal)
 
 
 @pytest.mark.parametrize("delta,nmax", [(2, 8), (3, 7), (4, 5)])
@@ -210,6 +211,18 @@ def test_two_suspects_matches_chain_sum(delta):
                     tie += path_chain_joint(delta, n, z, exact=True)
             got = pc_two_suspects(delta, d, n, exact=True).value
             assert got == 1 - err - tie / 2, (delta, n, d)
+
+
+@pytest.mark.parametrize("delta", [3, 4, 5, 12])
+def test_inv_table_states_the_step_law(delta):
+    # below the root, P(z_h = c | z_{h-1} = p) = inv[c] / (inv[p-1] (1 + c eps))
+    eps = delta - 2
+    inv = _inv_table(eps, 23, Fraction)
+    assert all(isinstance(v, Fraction) for v in inv)
+    for p in range(1, 25):
+        for c in range(p):
+            want = chain_step_pmf(delta, p, c, exact=True)
+            assert inv[c] / (inv[p - 1] * (1 + c * eps)) == want, (delta, p, c)
 
 
 def test_two_suspects_methods():

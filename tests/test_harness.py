@@ -195,3 +195,12 @@ def test_figure_sweep_fig10_varies_k():
     reps = figure_sweep("fig10", seed=4, n=18, trials=20, ks=(2, 4))
     assert [r.k for r in reps] == [2, 4]
     assert all(r.scenario == "connected-k" and r.delta == 4 for r in reps)
+
+
+@pytest.mark.parametrize("kwargs", [dict(trials=0), dict(n=0)],
+                         ids=["trials", "n"])
+def test_figure_sweep_checks_run_before_an_empty_axis(kwargs):
+    # a negative seed with an empty axis is checked through the CLI
+    args = dict(seed=1, n=5, trials=2, deltas=()) | kwargs
+    with pytest.raises(ValidationError):
+        figure_sweep("fig7", **args)
