@@ -7,11 +7,10 @@ every exact engine here:
 * two suspects at distance d: a chain of length d errs (or ties) when the
   product of size odds z_h / (n - z_h) along it exceeds (or equals) 1.
   Only chains whose every prefix keeps that product above 1 can end in an
-  error, which prunes the walk to a thin wedge and keeps exact rational
-  enumeration cheap.  Below the root every level has one beta-binomial
-  law, stated by one prefix-product table (`_inv_table`): an inner level
-  only divides the carried weight, and the last level closes in closed
-  form from two table entries, so the walk holds O(n) memory.
+  error, which prunes the walk to a thin wedge.  Below the root every
+  level has one law (`_inv_table`): an inner level only divides the
+  carried weight, and the last level closes from two table entries, so
+  the walk holds O(n) memory.
 * the single-subtree tail is the d = 1 case: one fixed neighbor subtree of
   the true source swallows more than half of the infection (plus half the
   mass of an exact half split).  Detection fails through a suspect
@@ -20,10 +19,10 @@ every exact engine here:
 * the survival bound for deep suspect pairs is the error mass of the
   pruned walk at d = depth.
 
-Counts are exact Fractions by default up to n = 500, floats beyond.  A
-float root law is stepped by its pmf ratios and divided by its sum
-(`urn.tree_split_marginal_pmf`), not built from log-gamma terms.  Tie mass
-always enters with weight 1/2 (fair coin).
+Results are exact by default up to n = 500, floats beyond.  Exact masses
+are integers over one common denominator, made Fractions only at the end.
+A float root law is stepped by its pmf ratios and divided by its sum
+(`urn.tree_split_marginal_pmf`).  Tie mass enters with weight 1/2.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import BudgetError, ValidationError
 from .urn import (_resolve_exact, limit_split_cdf, rising_product,
@@ -196,37 +196,18 @@ class ChainMasses:
         return self.error + self.tie + self.success
 
 
-def _pmf(delta: int, N: int):
-    """Yield the exact root law P(z_1 = c) for c = N, N-1, ..., 0.
-
-    z_1 counts the draws of the one-ball color from a (1, delta-1) urn
-    adding eps = delta-2 balls per draw, over N draws.  Starts at
-    P(N) = rise(1, eps, N) / rise(delta, eps, N) and steps down by
-
-        P(c-1) = P(c) * c (delta-1 + (N-c) eps) / ((N-c+1) (1 + (c-1) eps)).
-    """
-    eps = delta - 2
-    p = Fraction(rising_product(1, eps, N), rising_product(delta, eps, N))
-    for c in range(N, 0, -1):
-        yield p
-        p *= Fraction(c * (delta - 1 + (N - c) * eps),
-                      (N - c + 1) * (1 + (c - 1) * eps))
-    yield p
-
-
-def _inv_table(eps: int, m: int, ratio) -> list:
-    """inv[k] = prod_{j=1..k} (1 + j eps) / (j eps) for k = 0..m (eps >= 1).
+def _inv_table(eps: int, m: int, exact: bool) -> list:
+    """I[k] = E prod_{j=1..k} (1 + j eps) / (j eps) for k = 0..m (eps >= 1).
 
     Below the root every step of the chain has one law: given z_{h-1} = p,
-    the count z_h is beta-binomial(p-1, 1/eps, 1), and
-
-        P(z_h = c | z_{h-1} = p) = inv[c] / (inv[p-1] (1 + c eps)).
-
-    In floats inv[k] grows only like k^(1/eps), so it does not overflow.
+    z_h is beta-binomial(p-1, 1/eps, 1), and P(z_h = c | z_{h-1} = p) =
+    I[c] / (I[p-1] (1 + c eps)).  Exact tables take E = eps^m m!, so every
+    entry is an integer; float ones take E = 1.0 and grow like k^(1/eps).
     """
-    inv = [ratio(1, 1)]
+    div = operator.floordiv if exact else operator.truediv
+    inv = [eps ** m * math.factorial(m) if exact else 1.0]
     for j in range(1, m + 1):
-        inv.append(inv[-1] * ratio(1 + j * eps, j * eps))
+        inv.append(div(inv[-1] * (1 + j * eps), j * eps))
     return inv
 
 
@@ -237,99 +218,115 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
     A chain (z_1 > ... > z_d >= 1) errs when prod z_h > prod (n - z_h),
     ties at equality, else the true source wins; a chain hitting 0 before
     level d means the far suspect was never infected (success).  With
-    prune=True, a branch is dropped as soon as its prefix product falls to
-    or below 1 (no completion can then err or tie, since any erring or
-    tying chain keeps every prefix strictly above 1); the returned success
-    mass is then meaningless.  With prune=False every branch is walked and
-    error + tie + success totals exactly 1 in exact mode.
+    prune=True a branch is dropped once its prefix product is at most 1,
+    since every erring or tying chain keeps each prefix above 1; the success
+    mass is then meaningless.  With prune=False every branch is walked, and
+    exact masses total 1.
 
-    Level 1 is the (1, delta-1) urn over n-1 draws.  Every level below it
-    follows the one step law of `_inv_table`, so the walk carries
-    W = mass / inv[z_{h-1} - 1]: the inv[c] of one step and the
-    1 / inv[c-1] of the next multiply to 1/(c eps), an inner level only
-    divides W by c eps, and the last level sums inv entries in closed form.
-    At delta = 2 (eps = 0) the chain below the root is surely
-    z_1, z_1 - 1, ..., so the root count fixes the whole chain.
+    Level 1 is the (1, delta-1) urn over n-1 draws.  Below it the walk
+    carries w ~ mass / I[z_{h-1} - 1] (`_inv_table`): an inner level only
+    divides w by c eps, and the last level closes from table entries.
+    Exact masses are integers over one denominator D S, D = rise(delta,
+    eps, n-1) and S = E T: each root count's sub-walk starts at w = T =
+    (lcm(1..n-2) eps)^(inner levels), so every division is exact, and its
+    sums are scaled once by U = R(z_1) E / I[z_1 - 1].  Floats take
+    D = E = T = 1.  At delta = 2 (eps = 0) the root count fixes the chain.
     """
-    N = n - 1
-    eps = delta - 2
-    ratio = Fraction if use_exact else operator.truediv
-    err = tie = succ = ratio(0, 1)
-    states = 0
-    inv = _inv_table(eps, N - 1, ratio) if eps and d > 1 else None
+    N, eps = n - 1, delta - 2
+    walks = eps > 0 and d > 1
+    I = _inv_table(eps, max(N - 1, 0), use_exact) if walks else [1]
+    E = I[0]
+    if use_exact:
+        div, ratio, D = operator.floordiv, Fraction, rising_product(delta, eps, N)
+        # R(c) = D P(z_1 = c) for c = N..0, stepped down exactly
+        root = accumulate(range(N, 0, -1), lambda r, c: r * c * (delta - 1 + (N - c) * eps)
+                          // ((N - c + 1) * (1 + (c - 1) * eps)),
+                          initial=rising_product(1, eps, N))
+        inner = min(d, N + 1) - 2  # most inner levels a chain can pass
+        T = (math.lcm(*range(1, N)) * eps) ** inner if walks and inner > 0 else 1
+    else:
+        div = ratio = operator.truediv
+        D = T = 1.0
+        # not stepped down from P(Z1 = N): at delta = 2 that is 2^-N, a float
+        # 0 from n = 1100 on, and every weight below it would be too
+        root = tree_split_marginal_pmf(delta, n)[::-1].tolist()
+    S = E * T
+    err = tie = succ = states = 0
+    e = t = s = 0  # one root count's sums, in units of U / (D S)
 
     def bump():
         nonlocal states
         states += 1
         if states > max_states:
-            raise BudgetError(
-                f"chain walk for delta={delta}, n={n}, d={d} exceeded "
-                f"{max_states} states; raise max_states to go further"
-            )
+            raise BudgetError(f"chain walk for delta={delta}, n={n}, d={d} exceeded "
+                              f"{max_states} states; raise max_states to go further")
 
     def classify(num: int, den: int, m) -> bool:
-        """Add the mass m of a whole chain with odds product num/den; False
-        when pruning and no lower last count can err or tie."""
-        nonlocal err, tie, succ
+        """Add m to the root count's sums by the odds num/den; False when
+        pruning and no lower last count can err or tie."""
+        nonlocal e, t, s
         if num > den:
-            err += m
+            e += m
         elif num == den:
-            tie += m
+            t += m
         elif prune:
             return False
         else:
-            succ += m
+            s += m
         return True
 
-    def walk(h: int, p: int, num: int, den: int, W):
+    def walk(h: int, p: int, num: int, den: int, w):
         """Classify every continuation through levels h..d given
         z_{h-1} = p; num/den is the prefix product so far (above 1 when
-        pruning) and W the mass here over inv[p-1]."""
-        nonlocal err, tie, succ
+        pruning) and w the mass here over I[p-1], in units of U / (D S)."""
+        nonlocal e, t, s
         if prune and h == d:
             # the chain errs exactly from the last count c_star on
             bump()
             tot = num + den
             c_star = n * den // tot + 1
             if c_star < p:
-                err += W * (inv[p - 1] - inv[c_star - 1])
+                e += w * (I[p - 1] - I[c_star - 1])
             if n * den % tot == 0 and 1 < c_star <= p:
-                tie += W * inv[c_star - 1] / (1 + (c_star - 1) * eps)
+                t += w * div(I[c_star - 2], (c_star - 1) * eps)
             return
         # pruned chains must still strictly descend to z_d >= 1
         for c in range(p - 1, d - h if prune else 0, -1):
             bump()
             num2, den2 = num * c, den * (n - c)
             if h == d:
-                classify(num2, den2, W * inv[c] / (1 + c * eps))
+                classify(num2, den2, w * div(I[c - 1], c * eps))
             elif prune and num2 <= den2:
                 break  # lower counts only shrink the product further
             else:
-                walk(h + 1, c, num2, den2, W / (c * eps))
+                walk(h + 1, c, num2, den2, div(w, c * eps))
         if not prune:
-            succ += W  # z_h = 0: the far suspect was never infected
+            s += w * E  # z_h = 0: the far suspect was never infected
 
-    # not stepped down from P(Z1 = N) in floats: at delta = 2 that is 2^-N,
-    # a float 0 from n = 1100 on, and every weight below it would be too
-    root = (_pmf(delta, N) if use_exact
-            else tree_split_marginal_pmf(delta, n)[::-1].tolist())
-    for z, r in zip(range(N, -1, -1), root):
-        if prune and z < d:
-            break  # cannot strictly descend to z_d >= 1
-        if z == 0 or (eps == 0 and z < d):
-            succ += r  # the chain hits 0 before level d
-            continue
-        bump()
-        if eps == 0 or d == 1:
-            # the whole chain is z, z-1, ..., z-d+1
-            if not classify(math.prod(range(z - d + 1, z + 1)),
-                            math.prod(range(n - z, n - z + d)), r):
+    try:
+        for z, r in zip(range(N, -1, -1), root):
+            if prune and z < d:
+                break  # cannot strictly descend to z_d >= 1
+            if z == 0 or (not walks and z < d):
+                succ += r * S  # the chain hits 0 before level d
+                continue
+            bump()
+            e = t = s = 0
+            u = div(r * E, I[z - 1]) if walks else r
+            if not walks:  # the chain is z, z-1, ..., z-d+1, and S = 1
+                if not classify(math.prod(range(z - d + 1, z + 1)),
+                                math.prod(range(n - z, n - z + d)), 1):
+                    break
+            elif prune and z <= n - z:
                 break
-        elif prune and z <= n - z:
-            break
-        else:
-            walk(2, z, z, n - z, r / inv[z - 1])
-    return ChainMasses(error=err, tie=tie, success=succ, states=states)
+            else:
+                walk(2, z, z, n - z, T)
+            err, tie, succ = err + u * e, tie + u * t, succ + u * s
+    finally:
+        walk = None  # the closure refers to itself; leave no cycle behind
+    q = D * S
+    return ChainMasses(error=ratio(err, q), tie=ratio(tie, q),
+                       success=ratio(succ, q), states=states)
 
 
 def pc_two_suspects(delta: int, d: int, n: int, exact=None,

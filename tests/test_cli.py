@@ -153,9 +153,13 @@ def _run_argv(draw):
     if command == "figure":
         figure = draw(st.sampled_from(["fig7", "fig8", "fig9", "fig10"]))
         more = draw(st.sampled_from(["", ",3"]))  # a second, valid entry
+        axes = {name: f"{value[key]}{more}" for name, key in
+                (("deltas", "delta"), ("ks", "k"), ("ds", "d"))}
+        empty = draw(st.sampled_from([None, None, None, *axes]))
+        if empty:
+            axes[empty] = ""  # an empty axis sweeps no configs
         return ["figure", f"--figure={figure}", *flags("seed", "n", "trials"),
-                f"--deltas={value['delta']}{more}", f"--ks={value['k']}{more}",
-                f"--ds={value['d']}{more}"]
+                *(f"--{name}={axis}" for name, axis in axes.items())]
     limit = draw(st.sampled_from(["phi1", "phi2", "phi3"]))
     names = ["delta", "k"] if (limit == "phi2") != (fault == "flag") else ["delta"]
     return ["asymptotic", limit, *flags(*names)]

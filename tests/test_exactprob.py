@@ -7,6 +7,7 @@ Feeding every final snapshot through the estimator (counting ties at
 half credit) gives the detection probability with zero shared code.
 """
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -16,7 +17,8 @@ import pytest
 
 from oracles import detection_prob_by_enumeration
 from rumorsource.errors import BudgetError, ValidationError
-from rumorsource.exactprob import (ChainMasses, DetectionResult, _inv_table,
+from rumorsource.exactprob import (DEFAULT_STATE_BUDGET, ChainMasses,
+                                   DetectionResult, _chain_masses, _inv_table,
                                    audit_two_suspect_closed_form,
                                    line_two_suspect_expression,
                                    pc_all_suspects, pc_conditional,
@@ -215,14 +217,50 @@ def test_two_suspects_matches_chain_sum(delta):
 
 @pytest.mark.parametrize("delta", [3, 4, 5, 12])
 def test_inv_table_states_the_step_law(delta):
-    # below the root, P(z_h = c | z_{h-1} = p) = inv[c] / (inv[p-1] (1 + c eps))
+    # below the root, P(z_h = c | z_{h-1} = p) = I[c] / (I[p-1] (1 + c eps)),
+    # with every exact entry an integer
     eps = delta - 2
-    inv = _inv_table(eps, 23, Fraction)
-    assert all(isinstance(v, Fraction) for v in inv)
+    inv = _inv_table(eps, 23, True)
+    assert all(type(v) is int for v in inv)
+    assert inv[0] == eps ** 23 * math.factorial(23)
     for p in range(1, 25):
         for c in range(p):
             want = chain_step_pmf(delta, p, c, exact=True)
-            assert inv[c] / (inv[p - 1] * (1 + c * eps)) == want, (delta, p, c)
+            got = Fraction(inv[c], inv[p - 1] * (1 + c * eps))
+            assert got == want, (delta, p, c)
+    floats = _inv_table(eps, 23, False)
+    assert floats[0] == 1.0
+    for a, b in zip(inv, floats):
+        assert math.isclose(a / inv[0], b, rel_tol=1e-14)
+
+
+def test_chain_walk_pins_states_and_rationals():
+    audit = two_suspect_chain_audit(3, 3, 100)
+    assert audit.states == 161_799
+    assert audit.total == 1
+    assert 1 - audit.error - audit.tie / 2 == Fraction(
+        282194509639564011231976240709477446568720219031212618410398793,
+        294901636684466573321324285507665507957192639525872301860480000)
+    walk = _chain_masses(12, 500, 3, True, DEFAULT_STATE_BUDGET, prune=True)
+    assert walk.states == 124_500
+    assert two_suspect_chain_audit(12, 3, 60).total == 1
+
+
+def test_chain_walk_leaves_no_cyclic_garbage():
+    # a walk's tables are big integers, which do not advance the collector's
+    # counters, so a cycle through them would hold memory until a full pass
+    gc.collect()
+    gc.disable()
+    try:
+        pc_two_suspects(3, 3, 50, exact=True)
+        two_suspect_chain_audit(4, 3, 30)
+        try:
+            pc_two_suspects(3, 4, 200, exact=True, max_states=50)
+        except BudgetError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_two_suspects_methods():
