@@ -2,7 +2,8 @@
 
 Subcommands: simulate, estimate, exact, asymptotic, experiment, figure.
 Randomized commands require an explicit seed.  Exit codes: 0 success,
-2 usage (argparse), 3 capacity or work-budget exceeded, 4 invalid input.
+2 usage (argparse), 3 capacity, work budget or memory exceeded, 4 invalid
+input.
 """
 
 from __future__ import annotations
@@ -256,8 +257,8 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CapacityError, BudgetError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CapacityError, BudgetError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (OSError, UnicodeDecodeError) as e:  # unreadable or not UTF-8
         print(f"error: {e}", file=sys.stderr)

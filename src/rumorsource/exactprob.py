@@ -14,8 +14,9 @@ every exact engine here:
 * the single-subtree tail is the d = 1 case: one fixed neighbor subtree of
   the true source swallows more than half of the infection (plus half the
   mass of an exact half split).  Detection fails through a suspect
-  neighbor exactly when its subtree does that, so the all-suspect and
-  connected-k probabilities are 1 - (multiplier) * tail.
+  neighbor exactly when its subtree does that, so P_c = 1 - mu * tail,
+  where mu, the source's mean number of suspect neighbors, is delta when
+  all nodes are suspects and 2(k-1)/k for k connected suspects.
 * the survival bound for deep suspect pairs is the error mass of the
   pruned walk at d = depth.
 
@@ -47,7 +48,7 @@ class DetectionResult:
     """A detection probability with how it was computed.
 
     value is a Fraction in exact mode, a float otherwise.  method is one of
-    closed-form, tail-sum, chain-enumeration, asymptotic, lower-bound.
+    closed-form, tail-sum, chain-enumeration, lower-bound.
     """
 
     value: object
@@ -109,31 +110,32 @@ def pc_conditional(delta: int, m: int, n: int, exact=None):
 # ---------------------------------------------------------------------------
 # all suspects / connected suspects
 
-def pc_all_suspects(delta: int, n: int, exact=None, via="auto") -> DetectionResult:
-    """P[MAP estimator names the source] when every infected node is suspect.
-
-    via: "auto" picks the closed form for degree 2 and 3 and the tail sum
-    otherwise; forcing either route is allowed where it exists (the two
-    agree exactly, which the tests pin down).
-    """
-    _check_delta_n(delta, n)
+def _tail_sum(delta: int, n: int, mult, exact, scenario: str) -> DetectionResult:
+    """1 - mult * single_subtree_tail, mult the source's mean number of
+    suspect neighbors.  The tail has a closed form at degree 2 and 3 and is
+    walked above; with mult = 0 nothing is walked."""
     use_exact = _resolve_exact(exact, n)
-    if via not in ("auto", "closed-form", "tail-sum"):
-        raise ValidationError(f"unknown route {via!r}")
-    if via == "closed-form" and delta > 3:
-        raise ValidationError("no closed form above degree 3; use tail-sum")
-    if via in ("auto", "closed-form") and delta == 2:
-        v = Fraction(math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))
-        return _wrap(v, use_exact, "closed-form", "all-suspects")
-    if via in ("auto", "closed-form") and delta == 3:
-        v = Fraction(1, 4) + Fraction(3, 4) / (2 * (n // 2) + 1)
-        return _wrap(v, use_exact, "closed-form", "all-suspects")
-    tail = single_subtree_tail(delta, n, exact=use_exact)
-    return DetectionResult(value=1 - delta * tail, method="tail-sum",
-                           scenario="all-suspects")
+    if not mult:
+        tail = Fraction(0)
+    elif delta == 2:
+        tail = (1 - Fraction(math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))) / 2
+    elif delta == 3:
+        tail = Fraction(n // 2, 4 * (n // 2) + 2)
+    else:
+        return DetectionResult(value=1 - mult * single_subtree_tail(delta, n, use_exact),
+                               method="tail-sum", scenario=scenario)
+    v = 1 - mult * tail
+    return DetectionResult(value=v if use_exact else float(v),
+                           method="closed-form", scenario=scenario)
 
 
-def pc_connected(delta: int, k: int, n: int, exact=None, via="auto") -> DetectionResult:
+def pc_all_suspects(delta: int, n: int, exact=None) -> DetectionResult:
+    """P[MAP estimator names the source] when every infected node is suspect."""
+    _check_delta_n(delta, n)
+    return _tail_sum(delta, n, delta, exact, "all-suspects")
+
+
+def pc_connected(delta: int, k: int, n: int, exact=None) -> DetectionResult:
     """Detection probability when the k suspects form a connected subtree.
 
     Any connected k-node suspect pattern on the regular tree gives the same
@@ -144,28 +146,7 @@ def pc_connected(delta: int, k: int, n: int, exact=None, via="auto") -> Detectio
     _check_delta_n(delta, n)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    use_exact = _resolve_exact(exact, n)
-    if via not in ("auto", "closed-form", "tail-sum"):
-        raise ValidationError(f"unknown route {via!r}")
-    if via == "closed-form" and delta > 3:
-        raise ValidationError("no closed form above degree 3; use tail-sum")
-    if k == 1:
-        return _wrap(Fraction(1), use_exact, "closed-form", "connected-k")
-    if via in ("auto", "closed-form") and delta == 2:
-        c = Fraction(math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))
-        v = (1 + (k - 1) * c) / Fraction(k)
-        return _wrap(v, use_exact, "closed-form", "connected-k")
-    if via in ("auto", "closed-form") and delta == 3:
-        v = Fraction(k + 1, 2 * k) + Fraction(k - 1, k) / (4 * (n // 2) + 2)
-        return _wrap(v, use_exact, "closed-form", "connected-k")
-    tail = single_subtree_tail(delta, n, exact=use_exact)
-    return DetectionResult(value=1 - Fraction(2 * (k - 1), k) * tail,
-                           method="tail-sum", scenario="connected-k")
-
-
-def _wrap(v: Fraction, use_exact: bool, method: str, scenario: str) -> DetectionResult:
-    return DetectionResult(value=v if use_exact else float(v), method=method,
-                           scenario=scenario)
+    return _tail_sum(delta, n, Fraction(2 * (k - 1), k), exact, "connected-k")
 
 
 def pc_general_lower_bound(delta: int, k: int, n: int, exact=None) -> DetectionResult:
@@ -343,7 +324,8 @@ def pc_two_suspects(delta: int, d: int, n: int, exact=None,
     use_exact = _resolve_exact(exact, n)
     if d >= n:
         # the far suspect needs d+1 infected path nodes, more than exist
-        return _wrap(Fraction(1), use_exact, "chain-enumeration", "two-at-d")
+        return DetectionResult(value=Fraction(1) if use_exact else 1.0,
+                               method="chain-enumeration", scenario="two-at-d")
     masses = _chain_masses(delta, n, d, use_exact, max_states, prune=True)
     return DetectionResult(value=1 - (masses.error + masses.tie / 2),
                            method="chain-enumeration", scenario="two-at-d")
@@ -436,25 +418,23 @@ def audit_two_suspect_closed_form(n: int, d: int) -> dict:
 # ---------------------------------------------------------------------------
 # asymptotics
 
-def _limit_tail(delta: int) -> float:
-    # limiting single-subtree tail: P(leading subtree share > 1/2)
-    return 1.0 - limit_split_cdf(delta, 0.5)
+def _limit(delta: int, mult) -> float:
+    """Large-n form of 1 - mult * tail: the leading subtree share > 1/2."""
+    if delta < 3:
+        raise ValidationError("limit exists only for degree >= 3")
+    return 1.0 - mult * (1.0 - limit_split_cdf(delta, 0.5))
 
 
 def phi1(delta: int) -> float:
     """Limit of the all-suspect detection probability as n grows."""
-    if delta < 3:
-        raise ValidationError("limit exists only for degree >= 3 (degree 2 decays to 0)")
-    return 1.0 - delta * _limit_tail(delta)
+    return _limit(delta, delta)
 
 
 def phi2(delta: int, k: int) -> float:
     """Limit of the connected-k detection probability."""
-    if delta < 3:
-        raise ValidationError("limit exists only for degree >= 3")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    return 1.0 - (2.0 * (k - 1) / k) * _limit_tail(delta)
+    return _limit(delta, 2.0 * (k - 1) / k)
 
 
 def phi3(delta: int) -> float:

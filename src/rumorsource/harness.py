@@ -231,11 +231,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # figure-style sweeps
 
+# figure -> (scenario, swept axis, default axis values, default degrees);
+# a figure with no axis runs its degrees once
 _FIG_DEFAULTS = {
-    "fig7": {"deltas": (2, 3, 4, 6, 8, 12, 16, 24, 36, 50)},
-    "fig8": {"deltas": (2, 3, 4, 6, 8, 12, 16, 24), "ks": (2, 5, 10)},
-    "fig9": {"deltas": (2, 3, 4, 6, 8, 12, 16, 24), "ds": (1, 2)},
-    "fig10": {"deltas": (4,), "ks": (2, 4, 10, 20, 50, 100, 400, 1000, 4000)},
+    "fig7": ("all-suspects", None, (None,), (2, 3, 4, 6, 8, 12, 16, 24, 36, 50)),
+    "fig8": ("connected-k", "k", (2, 5, 10), (2, 3, 4, 6, 8, 12, 16, 24)),
+    "fig9": ("two-at-d", "d", (1, 2), (2, 3, 4, 6, 8, 12, 16, 24)),
+    "fig10": ("connected-k", "k", (2, 4, 10, 20, 50, 100, 400, 1000, 4000), (4,)),
 }
 
 
@@ -246,32 +248,25 @@ def figure_sweep(figure: str, seed: int, n: int = 500, trials: int = 2000,
     fig7: all suspects vs degree.  fig8: connected suspects vs degree, one
     curve per k.  fig9: two suspects vs degree, one curve per distance.
     fig10: connected suspects vs k at fixed degree.  Override any axis with
-    the keyword arguments.
+    the keyword arguments; an axis the figure does not sweep is ignored.
+    Reports run axis value outer, degree inner.
     """
     if figure not in _FIG_DEFAULTS:
         raise ValidationError(
             f"unknown figure {figure!r}; choose from {sorted(_FIG_DEFAULTS)}"
         )
     _check_run(n, trials, seed)  # also when an axis is empty
-    defaults = _FIG_DEFAULTS[figure]
-    deltas = tuple(deltas) if deltas is not None else defaults.get("deltas")
-    ks = tuple(ks) if ks is not None else defaults.get("ks")
-    ds = tuple(ds) if ds is not None else defaults.get("ds")
+    scenario, axis, values, default_deltas = _FIG_DEFAULTS[figure]
+    override = {"k": ks, "d": ds}.get(axis)
+    values = tuple(override) if override is not None else values
+    deltas = tuple(deltas) if deltas is not None else default_deltas
     reports = []
-    if figure == "fig7":
+    for v in values:
         for delta in deltas:
-            cfg = ExperimentConfig("all-suspects", delta, n, trials, seed)
+            cfg = ExperimentConfig(scenario, delta, n, trials, seed,
+                                   k=v if axis == "k" else None,
+                                   d=v if axis == "d" else None)
             reports.append(run_experiment(cfg))
-    elif figure in ("fig8", "fig10"):
-        for k in ks:
-            for delta in deltas:
-                cfg = ExperimentConfig("connected-k", delta, n, trials, seed, k=k)
-                reports.append(run_experiment(cfg))
-    else:
-        for d in ds:
-            for delta in deltas:
-                cfg = ExperimentConfig("two-at-d", delta, n, trials, seed, d=d)
-                reports.append(run_experiment(cfg))
     return reports
 
 

@@ -27,10 +27,8 @@ class Graph:
         raise NotImplementedError
 
     def neighbors(self, u: int) -> list[int]:
+        """The neighbors of u, in ascending id order."""
         raise NotImplementedError
-
-    def degree(self, u: int) -> int:
-        return len(self.neighbors(u))
 
 
 class ExplicitGraph(Graph):
@@ -38,7 +36,7 @@ class ExplicitGraph(Graph):
 
     kind = "explicit"
 
-    def __init__(self, adjacency: dict[int, list[int]]):
+    def __init__(self, adjacency: dict[int, list[int] | set[int]]):
         self._adj = {u: sorted(vs) for u, vs in adjacency.items()}
 
     @classmethod
@@ -51,7 +49,7 @@ class ExplicitGraph(Graph):
                 raise ValidationError(f"negative node id in edge ({u}, {v})")
             adj.setdefault(u, set()).add(v)
             adj.setdefault(v, set()).add(u)
-        return cls({u: sorted(vs) for u, vs in adj.items()})
+        return cls(adj)
 
     def __contains__(self, u: int) -> bool:
         return u in self._adj
@@ -114,7 +112,8 @@ class LazyRegularTree(Graph):
         return d
 
     def neighbors(self, u: int) -> list[int]:
-        """A fresh list: the parent (none at the origin), then the children."""
+        """A fresh list: the parent (none at the origin), then the children,
+        which is ascending: a parent's id is below its child block's."""
         if not 0 <= u < len(self._parent):
             raise ValidationError(f"node {u} not materialized")
         first = self._first[u] or self._expand(u)
@@ -272,7 +271,7 @@ def _bfs_layers(g: Graph, root: int, restrict=None):
         yield layer, parent
         nxt = []
         for u in layer:
-            for v in sorted(g.neighbors(u)):
+            for v in g.neighbors(u):
                 if v not in parent and (restrict is None or v in restrict):
                     parent[v] = u
                     nxt.append(v)

@@ -17,6 +17,7 @@ from rumorsource.centrality import rumor_centrality
 from rumorsource.exactprob import (audit_two_suspect_closed_form,
                                    pc_all_suspects, pc_connected,
                                    pc_two_suspects, phi1, phi2, phi3,
+                                   single_subtree_tail,
                                    two_suspect_chain_audit,
                                    two_suspect_survival_mass)
 from rumorsource.harness import ExperimentConfig, run_experiment
@@ -39,15 +40,16 @@ def test_criterion_1_closed_form_exactness():
     with criterion(1, "closed forms match the tail route as exact rationals"):
         for delta in (2, 3):
             for n in range(1, 301):
-                a = pc_all_suspects(delta, n, exact=True, via="closed-form")
-                b = pc_all_suspects(delta, n, exact=True, via="tail-sum")
-                assert a.value == b.value, (delta, n)
+                a = pc_all_suspects(delta, n, exact=True)
+                b = 1 - delta * single_subtree_tail(delta, n, exact=True)
+                assert a.method == "closed-form" and a.value == b, (delta, n)
         for delta in (2, 3):
             for k in range(1, 21):
+                mu = Fraction(2 * (k - 1), k)
                 for n in range(2, 301):
-                    a = pc_connected(delta, k, n, exact=True, via="closed-form")
-                    b = pc_connected(delta, k, n, exact=True, via="tail-sum")
-                    assert a.value == b.value, (delta, k, n)
+                    a = pc_connected(delta, k, n, exact=True)
+                    b = 1 - mu * single_subtree_tail(delta, n, exact=True)
+                    assert a.method == "closed-form" and a.value == b, (delta, k, n)
 
 
 def test_criterion_2_asymptotic_constants():

@@ -81,6 +81,16 @@ def test_exact_max_states(capsys):
     assert code == 4 and err.startswith("error:")
 
 
+def test_exact_out_of_memory_exit_three(monkeypatch, capsys):
+    def no_memory(delta, n):
+        raise MemoryError
+    monkeypatch.setattr("rumorsource.exactprob.tree_split_marginal_pmf", no_memory)
+    code, out, err = run_cli(["exact", "all-suspects", "--delta", "4",
+                              "--n", "600"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 _OPTIONAL_INT = st.none() | st.integers(-2, 45)
 
 

@@ -86,22 +86,20 @@ def test_conditional_formulas_degree_three():
 def test_closed_forms_match_tail_route_small():
     for delta in (2, 3):
         for n in range(1, 40):
-            a = pc_all_suspects(delta, n, exact=True, via="closed-form").value
-            b = pc_all_suspects(delta, n, exact=True, via="tail-sum").value
+            a = pc_all_suspects(delta, n, exact=True).value
+            b = 1 - delta * single_subtree_tail(delta, n, exact=True)
             assert a == b
     for k in (2, 3, 7):
         for n in range(2, 40):
-            a = pc_connected(3, k, n, exact=True, via="closed-form").value
-            b = pc_connected(3, k, n, exact=True, via="tail-sum").value
+            a = pc_connected(3, k, n, exact=True).value
+            b = 1 - Fraction(2 * (k - 1), k) * single_subtree_tail(3, n, exact=True)
             assert a == b
 
 
 def test_closed_form_refuses_high_degree():
-    with pytest.raises(ValidationError):
-        pc_all_suspects(4, 10, exact=True, via="closed-form")
-    # but the tail route works at any degree
-    v = pc_all_suspects(4, 10, exact=True, via="tail-sum").value
-    assert 0 < v < 1
+    # above degree 3 the tail is walked
+    r = pc_all_suspects(4, 10, exact=True)
+    assert r.method == "tail-sum" and 0 < r.value < 1
 
 
 def test_tail_identity_degree_two():
@@ -134,6 +132,21 @@ def test_float_mode_tracks_exact():
     ex = float(pc_two_suspects(3, 2, 60, exact=True).value)
     fl = pc_two_suspects(3, 2, 60, exact=False).value
     assert math.isclose(ex, fl, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("n", [501, 777, 2000])
+def test_float_closed_forms_are_rounded_rationals(delta, n):
+    # a float closed form is the exact rational, rounded once
+    pairs = [(pc_all_suspects(delta, n, exact=False),
+              pc_all_suspects(delta, n, exact=True))]
+    pairs += [(pc_connected(delta, k, n, exact=False),
+               pc_connected(delta, k, n, exact=True)) for k in (2, 5)]
+    for fl, ex in pairs:
+        assert fl.method == ex.method == "closed-form"
+        assert type(fl.value) is float and fl.value == float(ex.value)
+    one = pc_connected(12, 1, 2000)
+    assert one.method == "closed-form" and one.value == 1.0
 
 
 @pytest.mark.parametrize("n", [1000, 1100, 2000])

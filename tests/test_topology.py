@@ -207,3 +207,14 @@ def test_neighbors_hands_out_a_copy(delta):
         before = list(g.neighbors(u))
         g.neighbors(u).append(-1)
         assert g.neighbors(u) == before
+
+
+@pytest.mark.parametrize("delta", [2, 3, 12])
+def test_neighbors_are_ascending(delta):
+    # the one BFS rule relies on it and sorts nothing itself
+    g = LazyRegularTree(delta)
+    snap = simulate_si(g, SpreadConfig(source=0, n=80, seed=delta))
+    for u in snap.order:
+        assert g.neighbors(u) == sorted(g.neighbors(u)), u
+    h = ExplicitGraph({5: [3, 9, 1], 3: [5], 9: [5], 1: [5]})
+    assert [h.neighbors(u) for u in (5, 3)] == [[1, 3, 9], [5]]
