@@ -1,12 +1,15 @@
-"""Regenerate the golden `experiment` CSVs in this directory.
+"""Regenerate the golden `experiment` CSVs and `simulate` JSON files in
+this directory.
 
     PYTHONPATH=src python3 tests/golden/make_golden.py
 
-Each file holds one scenario and backend over degrees 2, 3, 4 and 12 at
+Each CSV holds one scenario and backend over degrees 2, 3, 4 and 12 at
 n=30, 300 trials, seed 7, exactly as `rumorsource experiment --format csv`
-prints it: one header, then one row per run.  tests/test_golden.py asserts
-that the current code reproduces every file byte for byte, so regenerate
-only when a change of results is intended.
+prints it: one header, then one row per run.  Each JSON file is the
+snapshot `rumorsource simulate` prints for one (degree, n, seed, backend)
+case on the lazy regular tree.  tests/test_golden.py asserts that the
+current code reproduces every file byte for byte, so regenerate only when
+a change of results is intended.
 """
 
 from __future__ import annotations
@@ -26,6 +29,16 @@ SCENARIOS = {
     "connected-k": [["--k", "5"]],
     "two-at-d": [["--d", "1"], ["--d", "2"]],
 }
+
+# (delta, n, seed, backend) of each frozen `simulate` snapshot
+SIMULATE_CASES = (
+    (3, 40, 7, "uniform-boundary"),
+    (12, 300, 1, "exponential-clocks"),
+    (2, 50, 3, "uniform-boundary"),
+    (4, 500, 11, "uniform-boundary"),
+    (3, 400, 5, "exponential-clocks"),
+    (12, 2000, 2, "uniform-boundary"),
+)
 
 
 def golden_path(scenario: str, backend: str) -> Path:
@@ -51,9 +64,27 @@ def render(scenario: str, backend: str) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def simulate_path(delta: int, n: int, seed: int, backend: str) -> Path:
+    return HERE / f"simulate_d{delta}_n{n}_s{seed}_{backend}.json"
+
+
+def render_simulate(delta: int, n: int, seed: int, backend: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["simulate", "--delta", str(delta), "--n", str(n),
+                     "--seed", str(seed), "--backend", backend])
+    if code != 0:
+        raise SystemExit(f"simulate {delta} {n} {seed} {backend} exited {code}")
+    return buf.getvalue()
+
+
 if __name__ == "__main__":
     for scenario in SCENARIOS:
         for backend in BACKENDS:
             path = golden_path(scenario, backend)
             path.write_text(render(scenario, backend))
             print(path.relative_to(HERE.parent.parent))
+    for case in SIMULATE_CASES:
+        path = simulate_path(*case)
+        path.write_text(render_simulate(*case))
+        print(path.relative_to(HERE.parent.parent))

@@ -1,4 +1,5 @@
-"""Seeded `experiment` output must match the checked-in golden CSVs."""
+"""Seeded `experiment` and `simulate` output must match the checked-in
+golden files."""
 
 import importlib.util
 from pathlib import Path
@@ -16,3 +17,9 @@ _spec.loader.exec_module(make_golden)
 def test_experiment_csv_matches_golden(scenario, backend):
     want = make_golden.golden_path(scenario, backend).read_text()
     assert make_golden.render(scenario, backend) == want
+
+
+@pytest.mark.parametrize("case", make_golden.SIMULATE_CASES)
+def test_simulate_json_matches_golden(case):
+    want = make_golden.simulate_path(*case).read_text()
+    assert make_golden.render_simulate(*case) == want
