@@ -41,6 +41,8 @@ from .urn import (_resolve_exact, limit_split_cdf, rising_product,
 
 # Visited-state cap for the two-suspect chain walk.
 DEFAULT_STATE_BUDGET = 3_000_000
+# Above this n the float degree-2 closed form takes its binomial from scipy.
+BINOM_FLOAT_N = 20_000
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,11 @@ def _tail_sum(delta: int, n: int, mult, exact, scenario: str) -> DetectionResult
     use_exact = _resolve_exact(exact, n)
     if not mult:
         tail = Fraction(0)
+    elif delta == 2 and not use_exact and n > BINOM_FLOAT_N:
+        from scipy.stats import binom  # slow to import, so only here
+        c = binom.pmf((n - 1) // 2, n - 1, 0.5)  # tail (1 - c)/2, not cancelled
+        return DetectionResult(value=float(1 - Fraction(mult, 2) + mult * c / 2),
+                               method="closed-form", scenario=scenario)
     elif delta == 2:
         tail = (1 - Fraction(math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))) / 2
     elif delta == 3:

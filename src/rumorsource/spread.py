@@ -16,9 +16,11 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
+from . import topology
 from .errors import BackendError, CapacityError, ValidationError
 from .topology import (ExplicitGraph, Graph, LazyRegularTree, Snapshot,
                        bfs_tree)
@@ -62,46 +64,65 @@ def simulate_si(g: Graph, cfg: SpreadConfig) -> Snapshot:
 
 
 def _run_uniform_boundary(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
+    """On a tree every neighbour of a newly infected node but its infector
+    is still susceptible; the boundary is two flat lists, node and infector.
+    On the lazy tree an unexpanded node (any from id n0 on) other than the
+    source was infected by its parent, so its child block joins the boundary
+    without `neighbors`.  Blocks are numbered as `_expand` would and written
+    by one `_grow` at the end; the run stops before one would pass MAX_NODES.
+    """
     source, n = cfg.source, cfg.n
     parent: dict[int, int | None] = {source: None}
     order = [source]
-    # Boundary entries are (susceptible node, infecting neighbor); on a tree
-    # each susceptible node appears exactly once.
-    boundary = [(v, source) for v in g.neighbors(source)]
-    if n > 1:
-        picks = rng.random(n - 1)
-        for i in range(n - 1):
-            if not boundary:
-                raise CapacityError(
-                    f"component exhausted after {len(order)} of {n} infections"
-                )
-            j = int(picks[i] * len(boundary))
-            u, infector = boundary[j]
-            boundary[j] = boundary[-1]
-            boundary.pop()
-            parent[u] = infector
-            order.append(u)
-            for w in g.neighbors(u):
-                if w not in parent:
-                    boundary.append((w, u))
+    bnode = list(g.neighbors(source))
+    binf = [source] * len(bnode)
+    lazy = isinstance(g, LazyRegularTree)
+    n0 = nxt = g.num_nodes if lazy else float("inf")
+    first, k, cap = (g._first, g.delta - 1, topology.MAX_NODES) if lazy else (None, 0, 0)
+    grown: list[int] = []  # nodes given a child block by this run, in id order
+    for r in _draws(rng.random, n - 1):
+        if not bnode:
+            raise CapacityError(f"component exhausted after {len(order)} of {n} "
+                                "infections")
+        j = int(r * len(bnode))
+        u, p = bnode[j], binf[j]
+        bnode[j], binf[j] = bnode[-1], binf[-1]
+        bnode.pop()
+        binf.pop()
+        parent[u] = p
+        order.append(u)
+        if u >= n0 or (lazy and not first[u]):
+            grown.append(u)
+            if nxt + k > cap:
+                g._grow(grown)
+            bnode.extend(range(nxt, nxt + k))
+            binf.extend([u] * k)
+            nxt += k
+            continue
+        for w in g.neighbors(u):
+            if w != p:
+                bnode.append(w)
+                binf.append(u)
+    if grown:
+        g._grow(grown)
     return Snapshot(root=source, order=order, parent_of=parent, host=g)
 
 
-def _exp_draws(rng, chunk=2048):
-    """Chunked Exp(1) draws so the clock backend avoids per-edge rng calls."""
-    while True:
-        yield from rng.exponential(size=chunk)
+def _draws(draw, total=None, chunk=2048):
+    """Python floats from `draw(size=...)` calls of at most `chunk`, endless
+    when `total` is None: the same stream as one large call, in bounded memory."""
+    sizes = repeat(chunk) if total is None else [chunk] * (total // chunk) + [total % chunk]
+    return chain.from_iterable(draw(size=s).tolist() for s in sizes)
 
 
 def _run_exponential_clocks(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
     source, n = cfg.source, cfg.n
-    draws = _exp_draws(rng)
+    draws = _draws(rng.exponential)
     parent: dict[int, int | None] = {source: None}
     order = [source]
     heap: list[tuple[float, int, int]] = []
-    t0 = 0.0
     for v in g.neighbors(source):
-        heapq.heappush(heap, (t0 + next(draws), v, source))
+        heapq.heappush(heap, (next(draws), v, source))
     while len(order) < n:
         while heap and heap[0][1] in parent:
             heapq.heappop(heap)

@@ -128,14 +128,26 @@ class LazyRegularTree(Graph):
         return [self._parent[u]] if u else []
 
     def _expand(self, u: int) -> int:
-        first = len(self._parent)
-        count = self.delta - 1 if u else self.delta
-        if first + count > MAX_NODES:
+        self._grow((u,))
+        return self._first[u]
+
+    def _grow(self, nodes) -> None:
+        """Append a child block per node, in order: delta children at the
+        origin (which grows alone), delta-1 elsewhere.  The only writer of the
+        columns; past MAX_NODES it writes the blocks that fit, then raises."""
+        nodes, start = list(nodes), len(self._parent)
+        k = self.delta if nodes[:1] == [0] else self.delta - 1
+        fit = nodes[:(MAX_NODES - start) // k]
+        col = [0] * (k * len(fit))
+        for i in range(k):
+            col[i::k] = fit
+        self._parent.fromlist(col)
+        self._first.frombytes(bytes(8 * len(col)))
+        for u in fit:
+            self._first[u] = start
+            start += k
+        if len(fit) < len(nodes):
             raise CapacityError(f"materialized node limit {MAX_NODES} exceeded")
-        self._parent.extend([u] * count)
-        self._first.extend([0] * count)
-        self._first[u] = first
-        return first
 
     def path_from_origin(self, length: int) -> list[int]:
         """Materialize one descending path; returns length+1 node ids."""
@@ -166,9 +178,9 @@ def regular_tree(delta: int, radius: int) -> LazyRegularTree:
             f"limit {MAX_NODES}"
         )
     g = LazyRegularTree(delta)
-    # ids grow outward, so the interior is exactly the ids below the shell's
-    for u in range(ball_size(delta, radius - 1) if radius else 0):
-        g._expand(u)
+    if radius:  # ids grow outward: the interior is the ids below the shell's
+        g._grow([0])
+        g._grow(range(1, ball_size(delta, radius - 1)))
     return g
 
 

@@ -6,7 +6,10 @@ with exact rationals, no shared code with the library paths under test.
 
 from fractions import Fraction
 
+import numpy as np
+
 from rumorsource.centrality import centrality_all
+from rumorsource.errors import CapacityError
 from rumorsource.topology import ExplicitGraph, bfs_tree, regular_tree
 
 
@@ -106,3 +109,53 @@ def detection_prob_by_enumeration(delta, n):
     rec.hit = Fraction(0)
     rec([0], {0: None}, [(w, 0) for w in neighbors(0)], Fraction(1))
     return rec.hit
+
+
+class ReferenceTree:
+    """The lazy regular tree grown one node at a time: a parent column and
+    a first-child column as plain lists, started from copies of another
+    tree's columns.  Expanding u appends its child block at the end."""
+
+    def __init__(self, delta, parent_col, first_col, cap):
+        self.delta, self.cap = delta, cap
+        self.parent, self.first = list(parent_col), list(first_col)
+
+    def neighbors(self, u):
+        first = self.first[u] or self._expand(u)
+        if u == 0:
+            return list(range(first, first + self.delta))
+        return [self.parent[u], *range(first, first + self.delta - 1)]
+
+    def _expand(self, u):
+        first = len(self.parent)
+        count = self.delta - 1 if u else self.delta
+        if first + count > self.cap:
+            raise CapacityError(f"materialized node limit {self.cap} exceeded")
+        self.parent.extend([u] * count)
+        self.first.extend([0] * count)
+        self.first[u] = first
+        return first
+
+
+def reference_spread(tree, source, n, seed):
+    """The generic uniform-boundary SI loop with one up-front block of
+    draws: the next infection is uniform over the (node, infector)
+    boundary, swap-removed, and every uninfected neighbour joins it.
+    Returns (order, parent)."""
+    rng = np.random.default_rng(seed)
+    parent = {source: None}
+    order = [source]
+    boundary = [(v, source) for v in tree.neighbors(source)]
+    if n > 1:
+        picks = rng.random(n - 1)
+        for i in range(n - 1):
+            j = int(picks[i] * len(boundary))
+            u, infector = boundary[j]
+            boundary[j] = boundary[-1]
+            boundary.pop()
+            parent[u] = infector
+            order.append(u)
+            for w in tree.neighbors(u):
+                if w not in parent:
+                    boundary.append((w, u))
+    return order, parent

@@ -149,6 +149,19 @@ def test_float_closed_forms_are_rounded_rationals(delta, n):
     assert one.method == "closed-form" and one.value == 1.0
 
 
+@pytest.mark.parametrize("n", [20001, 20002, 50001])
+def test_degree_two_float_closed_form_above_cutoff(n):
+    # above the cutoff the float central binomial term comes from scipy;
+    # the form (1 - mu/2) + mu c/2 keeps it near rounding level
+    pairs = [(pc_all_suspects(2, n, exact=False), pc_all_suspects(2, n, exact=True))]
+    pairs += [(pc_connected(2, k, n, exact=False),
+               pc_connected(2, k, n, exact=True)) for k in (2, 5)]
+    for fl, ex in pairs:
+        assert fl.method == ex.method == "closed-form"
+        assert type(fl.value) is float
+        assert abs(Fraction(fl.value) - ex.value) <= 1e-14 * ex.value
+
+
 @pytest.mark.parametrize("n", [1000, 1100, 2000])
 def test_float_chain_walk_degree_two_large_n(n):
     # P(Z1 = n-1) = 2^-(n-1) underflows a float from n = 1100 on; the walk

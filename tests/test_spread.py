@@ -1,11 +1,15 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 from scipy import stats
 
+from oracles import ReferenceTree, reference_spread
+from rumorsource import topology
 from rumorsource.errors import BackendError, CapacityError, ValidationError
+from rumorsource.estimator import make_suspects_connected
 from rumorsource.spread import (BACKENDS, SpreadConfig, simulate_si,
                                 snapshot_from_dict, snapshot_from_json,
                                 snapshot_to_dict, snapshot_to_json,
@@ -198,3 +202,66 @@ def test_every_composition_reachable():
         snap = simulate_si(g, SpreadConfig(source=0, n=5, seed=t))
         seen.add(tuple(subtree_counts(snap, 0)))
     assert len(seen) == 15
+
+
+def _grown_tree(delta, kind):
+    """A lazy tree with some nodes already materialized, and a source on
+    them: the origin, a path node, a connected-patch member or a ball node."""
+    if kind == "ball":
+        g = regular_tree(delta, 2)
+        return g, g.num_nodes - 1
+    g = LazyRegularTree(delta)
+    if kind == "path":
+        return g, g.path_from_origin(3)[2]
+    if kind == "patch":
+        return g, max(make_suspects_connected(g, 0, 5).members)
+    return g, 0
+
+
+def _columns(g):
+    return list(g._parent), list(g._first)
+
+
+@pytest.mark.parametrize("kind", ["origin", "path", "patch", "ball"])
+@pytest.mark.parametrize("delta", [2, 3, 4, 12])
+def test_tree_loop_matches_reference_loop(delta, kind):
+    for n in (1, 2, 5, 300, 2000):
+        g, source = _grown_tree(delta, kind)
+        ref = ReferenceTree(delta, *_columns(g), topology.MAX_NODES)
+        order, parent = reference_spread(ref, source, n, seed=n + delta)
+        snap = simulate_si(g, SpreadConfig(source=source, n=n, seed=n + delta))
+        assert snap.order == order and snap.parent_of == parent
+        assert _columns(g) == (ref.parent, ref.first)
+        replay, _ = _grown_tree(delta, kind)
+        for u in snap.order:
+            replay.neighbors(u)
+        assert _columns(replay) == _columns(g)
+
+
+@pytest.mark.parametrize("delta,kind", [(2, "origin"), (3, "path"),
+                                        (4, "patch"), (12, "ball")])
+def test_capacity_error_mid_spread_leaves_reference_tree(monkeypatch, delta, kind):
+    g, source = _grown_tree(delta, kind)
+    cap = g.num_nodes + 500
+    monkeypatch.setattr(topology, "MAX_NODES", cap)
+    ref = ReferenceTree(delta, *_columns(g), cap)
+    with pytest.raises(CapacityError):
+        reference_spread(ref, source, 5000, seed=delta)
+    with pytest.raises(CapacityError):
+        simulate_si(g, SpreadConfig(source=source, n=5000, seed=delta))
+    assert _columns(g) == (ref.parent, ref.first)
+    assert g.num_nodes <= cap
+    assert all(first + delta - (u > 0) <= g.num_nodes
+               for u, first in enumerate(g._first))
+
+
+def test_capacity_error_draws_bounded_memory(monkeypatch):
+    monkeypatch.setattr(topology, "MAX_NODES", 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            simulate_si(LazyRegularTree(3), SpreadConfig(source=0, n=2 * 10**7, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
