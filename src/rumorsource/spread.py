@@ -79,7 +79,7 @@ def _run_uniform_boundary(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
     lazy = isinstance(g, LazyRegularTree)
     n0 = nxt = g.num_nodes if lazy else float("inf")
     first, k, cap = (g._first, g.delta - 1, topology.MAX_NODES) if lazy else (None, 0, 0)
-    grown: list[int] = []  # nodes given a child block by this run, in id order
+    grown: list[int] = []  # nodes given a child block by this run, in block order
     for r in _draws(rng.random, n - 1):
         if not bnode:
             raise CapacityError(f"component exhausted after {len(order)} of {n} "
