@@ -8,7 +8,7 @@ every exact engine here:
   product of size odds z_h / (n - z_h) along it exceeds (or equals) 1.
   Only chains whose every prefix keeps that product above 1 can end in an
   error, which prunes the walk to a thin wedge.  Below the root every
-  level has one law (`_inv_table`): an inner level only divides the
+  level has one law (`urn._inv_table`): an inner level only divides the
   carried weight, and the last level closes from two table entries, so
   the walk holds O(n) memory.
 * the single-subtree tail is the d = 1 case: one fixed neighbor subtree of
@@ -22,7 +22,8 @@ every exact engine here:
 
 Results are exact by default up to n = 500, floats beyond.  Exact masses
 are integers over one common denominator, made Fractions only at the end.
-A float root law is stepped by its pmf ratios and divided by its sum
+Both root laws step by one ratio (`urn.split_step`): the exact one in
+integers, the float one outward from its mode and divided by its sum
 (`urn.tree_split_marginal_pmf`).  Tie mass enters with weight 1/2.
 """
 
@@ -36,12 +37,12 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import BudgetError, ValidationError
-from .urn import (_resolve_exact, limit_split_cdf, rising_product,
-                  tree_split_marginal_pmf)
+from .urn import (_check_delta_n, _inv_table, _resolve_exact, limit_split_cdf,
+                  rising_product, split_step, tree_split_marginal_pmf)
 
 # Visited-state cap for the two-suspect chain walk.
 DEFAULT_STATE_BUDGET = 3_000_000
-# Above this n the float degree-2 closed form takes its binomial from scipy.
+# Above this n the float degree-2 closed form uses a series, not a big Fraction.
 BINOM_FLOAT_N = 20_000
 
 
@@ -60,13 +61,6 @@ class DetectionResult:
     @property
     def as_float(self) -> float:
         return float(self.value)
-
-
-def _check_delta_n(delta: int, n: int) -> None:
-    if delta < 2:
-        raise ValidationError(f"degree must be >= 2, got {delta}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +114,12 @@ def _tail_sum(delta: int, n: int, mult, exact, scenario: str) -> DetectionResult
     if not mult:
         tail = Fraction(0)
     elif delta == 2 and not use_exact and n > BINOM_FLOAT_N:
-        from scipy.stats import binom  # slow to import, so only here
-        c = binom.pmf((n - 1) // 2, n - 1, 0.5)  # tail (1 - c)/2, not cancelled
+        # c = C(n-1, m)/2^(n-1) from the series of C(2m, m)/4^m; tail (1 - c)/2 uncancelled
+        m = (n - 1) // 2
+        c = (1 - 1 / (8 * m) + 1 / (128 * m ** 2) + 5 / (1024 * m ** 3)
+             - 21 / (32768 * m ** 4)) / math.sqrt(math.pi * m)
+        if (n - 1) % 2:
+            c *= (2 * m + 1) / (2 * m + 2)
         return DetectionResult(value=float(1 - Fraction(mult, 2) + mult * c / 2),
                                method="closed-form", scenario=scenario)
     elif delta == 2:
@@ -184,21 +182,6 @@ class ChainMasses:
         return self.error + self.tie + self.success
 
 
-def _inv_table(eps: int, m: int, exact: bool) -> list:
-    """I[k] = E prod_{j=1..k} (1 + j eps) / (j eps) for k = 0..m (eps >= 1).
-
-    Below the root every step of the chain has one law: given z_{h-1} = p,
-    z_h is beta-binomial(p-1, 1/eps, 1), and P(z_h = c | z_{h-1} = p) =
-    I[c] / (I[p-1] (1 + c eps)).  Exact tables take E = eps^m m!, so every
-    entry is an integer; float ones take E = 1.0 and grow like k^(1/eps).
-    """
-    div = operator.floordiv if exact else operator.truediv
-    inv = [eps ** m * math.factorial(m) if exact else 1.0]
-    for j in range(1, m + 1):
-        inv.append(div(inv[-1] * (1 + j * eps), j * eps))
-    return inv
-
-
 def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
                   max_states, prune: bool) -> ChainMasses:
     """Walk the suspect-path subtree chains of length d, classifying each.
@@ -227,9 +210,8 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
     if use_exact:
         div, ratio, D = operator.floordiv, Fraction, rising_product(delta, eps, N)
         # R(c) = D P(z_1 = c) for c = N..0, stepped down exactly
-        root = accumulate(range(N, 0, -1), lambda r, c: r * c * (delta - 1 + (N - c) * eps)
-                          // ((N - c + 1) * (1 + (c - 1) * eps)),
-                          initial=rising_product(1, eps, N))
+        root = accumulate((split_step(delta, N, c) for c in range(N, 0, -1)),
+                          lambda r, s: r * s[1] // s[0], initial=rising_product(1, eps, N))
         inner = min(d, N + 1) - 2  # most inner levels a chain can pass
         T = (math.lcm(*range(1, N)) * eps) ** inner if walks and inner > 0 else 1
     else:
@@ -373,17 +355,20 @@ def two_suspect_survival_mass(delta: int, depth: int, n: int, exact=True,
 # ---------------------------------------------------------------------------
 # degree-2 line: published closed form vs enumeration
 
+def _binomial_window(n: int, lo: int, hi: int) -> Fraction:
+    """1/2 - sum C(n-1, z) / 2^n over z = lo..hi clipped to 0..n-1."""
+    s = sum(math.comb(n - 1, z) for z in range(max(lo, 0), min(hi, n - 1) + 1))
+    return Fraction(1, 2) - Fraction(s, 2 ** n)
+
+
 def line_two_suspect_expression(n: int, d: int) -> Fraction:
     """The quoted binomial-window expression for the degree-2 line case,
     evaluated verbatim (window depends on the parity of n - d)."""
     if n < 1 or d < 1:
         raise ValidationError("need n >= 1 and d >= 1")
     if (n - d) % 2:  # n - d odd
-        lo, hi = (n - d - 1) // 2, (n + d + 1) // 2
-    else:
-        lo, hi = (n - d) // 2, (n + d - 2) // 2
-    s = sum(math.comb(n - 1, z) for z in range(max(lo, 0), min(hi, n - 1) + 1))
-    return Fraction(1, 2) - Fraction(s, 2 ** n)
+        return _binomial_window(n, (n - d - 1) // 2, (n + d + 1) // 2)
+    return _binomial_window(n, (n - d) // 2, (n + d - 2) // 2)
 
 
 def audit_two_suspect_closed_form(n: int, d: int) -> dict:
@@ -402,12 +387,8 @@ def audit_two_suspect_closed_form(n: int, d: int) -> dict:
     expr = line_two_suspect_expression(n, d)
     pc_enum = enum.value
     residual = pc_enum - (1 - expr)
-    if (n - d) % 2:
-        lo, hi = (n - d + 1) // 2, (n + d - 1) // 2
-        s = sum(math.comb(n - 1, z) for z in range(max(lo, 0), min(hi, n - 1) + 1))
-        corrected = Fraction(1, 2) - Fraction(s, 2 ** n)
-    else:
-        corrected = expr
+    corrected = (_binomial_window(n, (n - d + 1) // 2, (n + d - 1) // 2)
+                 if (n - d) % 2 else expr)
     return {
         "n": n,
         "d": d,
@@ -427,8 +408,6 @@ def audit_two_suspect_closed_form(n: int, d: int) -> dict:
 
 def _limit(delta: int, mult) -> float:
     """Large-n form of 1 - mult * tail: the leading subtree share > 1/2."""
-    if delta < 3:
-        raise ValidationError("limit exists only for degree >= 3")
     return 1.0 - mult * (1.0 - limit_split_cdf(delta, 0.5))
 
 
@@ -446,6 +425,4 @@ def phi2(delta: int, k: int) -> float:
 
 def phi3(delta: int) -> float:
     """Limit of the two-suspect detection probability at distance 1."""
-    if delta < 3:
-        raise ValidationError("limit exists only for degree >= 3")
     return limit_split_cdf(delta, 0.5)

@@ -181,15 +181,13 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> bool:
     suspects = None
     if cfg.scenario == "all-suspects":
         source = 0
-    elif cfg.scenario == "connected-k":
-        suspects = make_suspects_connected(g, 0, cfg.k)
+    else:
+        if cfg.scenario == "connected-k":
+            suspects = make_suspects_connected(g, 0, cfg.k)
+        else:
+            suspects = make_suspects_two(g, 0, g.path_from_origin(cfg.d)[-1])
         members = sorted(suspects.members)
         source = members[random.Random(draw_seed).randrange(len(members))]
-    else:
-        far = g.path_from_origin(cfg.d)[-1]
-        suspects = make_suspects_two(g, 0, far)
-        pair = sorted(suspects.members)
-        source = pair[random.Random(draw_seed).randrange(2)]
     snap = simulate_si(g, SpreadConfig(source=source, n=cfg.n, seed=sim_seed,
                                        backend=cfg.backend))
     if suspects is None:

@@ -167,17 +167,15 @@ def regular_tree(delta: int, radius: int) -> LazyRegularTree:
     depth-`radius` shell exists but is unexpanded.  radius=0 gives a bare
     origin that grows on demand.
     """
+    g = LazyRegularTree(delta)  # validates delta
     if radius < 0:
         raise ValidationError(f"radius must be >= 0, got {radius}")
-    if delta < 2:
-        raise ValidationError(f"degree must be >= 2, got {delta}")
     count = ball_size(delta, radius)
     if count > MAX_NODES:
         raise CapacityError(
             f"ball of radius {radius} at degree {delta} has {count} nodes, "
             f"limit {MAX_NODES}"
         )
-    g = LazyRegularTree(delta)
     if radius:  # ids grow outward: the interior is the ids below the shell's
         g._grow([0])
         g._grow(range(1, ball_size(delta, radius - 1)))

@@ -8,21 +8,26 @@ color after each draw.  The joint law of color counts after N draws is
 with rise(b, e, x) = b (b+e) (b+2e) ... (b+(x-1)e).  Two parameterizations
 matter here: one ball per source-neighbor subtree with eps = delta-2 (the
 joint subtree split), and the (1, delta-1) two-color collapse (one subtree
-against the rest).  Exact mode returns Fractions; otherwise log-gamma floats.
+against the rest).  Each law is stated once, here: `polya_joint` is the
+exact oracle, `split_step` the root step ratio and `_inv_table` the step
+law below the root.  Urn oracles compute every value as a Fraction; float
+mode rounds that value once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc
 
 from .errors import ValidationError
 
-# Exact rationals by default up to this many draws; log-domain floats beyond.
+# Fractions by default up to this many draws (or infected nodes), floats
+# beyond; an urn oracle's float is its Fraction rounded once.
 EXACT_DEFAULT_LIMIT = 500
 
 
@@ -51,6 +56,13 @@ class PolyaSpec:
             raise ValidationError(f"draws must be >= 0, got {self.draws}")
 
 
+def _check_delta_n(delta: int, n: int) -> None:
+    if delta < 2:
+        raise ValidationError(f"degree must be >= 2, got {delta}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+
+
 def _resolve_exact(exact, size: int) -> bool:
     if exact is None:
         return size <= EXACT_DEFAULT_LIMIT
@@ -65,20 +77,12 @@ def rising_product(b: int, eps: int, x: int) -> int:
     return out
 
 
-def log_rising(b: float, eps: float, x: int) -> float:
-    """log of the rising product; -inf when the product is zero."""
-    if b == 0:
-        return 0.0 if x == 0 else -math.inf
-    if eps == 0:
-        return x * math.log(b)
-    return x * math.log(eps) + float(gammaln(b / eps + x) - gammaln(b / eps))
-
-
 def polya_joint(spec: PolyaSpec, counts, exact=None):
     """Probability that the urn ends with exactly `counts` draws per color.
 
-    counts must be non-negative and sum to spec.draws.  Returns a Fraction
-    in exact mode, a float otherwise (exact=None picks by draw count).
+    counts must be non-negative and sum to spec.draws.  The value is
+    computed as a Fraction; it is returned as is in exact mode and rounded
+    once to a float otherwise (exact=None picks by draw count).
     """
     counts = tuple(counts)
     if len(counts) != len(spec.initial):
@@ -91,31 +95,17 @@ def polya_joint(spec: PolyaSpec, counts, exact=None):
         raise ValidationError(
             f"counts sum to {sum(counts)}, expected {spec.draws} draws"
         )
-    use_exact = _resolve_exact(exact, spec.draws)
-    b_total = sum(spec.initial)
-    if use_exact:
-        num = 1
-        for b_j, x_j in zip(spec.initial, counts):
-            num *= rising_product(b_j, spec.increment, x_j)
-            if num == 0:
-                return Fraction(0)
-        coef = math.factorial(spec.draws)
-        for x_j in counts:
-            coef //= math.factorial(x_j)
-        return Fraction(coef * num, rising_product(b_total, spec.increment, spec.draws))
-    log_p = float(gammaln(spec.draws + 1))
+    coef, num = math.factorial(spec.draws), 1
     for b_j, x_j in zip(spec.initial, counts):
-        log_p += log_rising(b_j, spec.increment, x_j) - float(gammaln(x_j + 1))
-    log_p -= log_rising(b_total, spec.increment, spec.draws)
-    return math.exp(log_p)
+        coef //= math.factorial(x_j)
+        num *= rising_product(b_j, spec.increment, x_j)
+    p = Fraction(coef * num, rising_product(sum(spec.initial), spec.increment, spec.draws))
+    return p if _resolve_exact(exact, spec.draws) else float(p)
 
 
 def tree_split_spec(delta: int, n: int) -> PolyaSpec:
     """Urn whose colors are the delta subtrees hanging off the source."""
-    if delta < 2:
-        raise ValidationError(f"degree must be >= 2, got {delta}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_delta_n(delta, n)
     return PolyaSpec(initial=(1,) * delta, increment=delta - 2, draws=n - 1)
 
 
@@ -129,33 +119,32 @@ def tree_split_joint(delta: int, counts, n: int, exact=None):
 
 def tree_split_marginal(delta: int, x1: int, n: int, exact=None):
     """Law of one subtree's size against the other delta-1 combined."""
-    if delta < 2:
-        raise ValidationError(f"degree must be >= 2, got {delta}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_delta_n(delta, n)
     spec = PolyaSpec(initial=(1, delta - 1), increment=delta - 2, draws=n - 1)
     return polya_joint(spec, (x1, n - 1 - x1), exact=exact)
+
+
+def split_step(delta: int, N: int, c):
+    """P(X1 = c) / P(X1 = c-1) of the (1, delta-1) urn over N draws, as a
+    (numerator, denominator) pair: (N-c+1)(1+(c-1)eps) over
+    c(delta-1+(N-c)eps), eps = delta-2.  c may be an int or a numpy array."""
+    eps = delta - 2
+    return (N - c + 1) * (1 + (c - 1) * eps), c * (delta - 1 + (N - c) * eps)
 
 
 def tree_split_marginal_pmf(delta: int, n: int) -> np.ndarray:
     """Float P(X1 = c) for c = 0..n-1: tree_split_marginal over every count.
 
-    Steps P(c) / P(c-1) = (N-c+1)(1+(c-1)eps) / (c(delta-1+(N-c)eps)),
-    N = n-1, outward from the mode, then divides by the sum; no log-gamma
-    enters.  Every step taken moves away from the mode, so its factor is at
-    most 1 and the products cannot overflow.  The law is unimodal: at
-    delta >= 3 every factor is below 1 (mode 0); at delta = 2 the factors
-    fall through 1 once.
+    Walks `split_step` outward from the mode, N = n-1, then divides by the
+    sum; no log-gamma enters.  Every step taken moves away from the mode,
+    so its factor is at most 1 and the products cannot overflow.  The law
+    is unimodal: at delta >= 3 every factor is below 1 (mode 0); at
+    delta = 2 the factors fall through 1 once.
     """
-    if delta < 2:
-        raise ValidationError(f"degree must be >= 2, got {delta}")
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_delta_n(delta, n)
     N = n - 1
-    eps = delta - 2
-    c = np.arange(1, N + 1, dtype=np.float64)
-    # step[c-1] = P(c) / P(c-1)
-    step = (N - c + 1) * (1 + (c - 1) * eps) / (c * (delta - 1 + (N - c) * eps))
+    num, den = split_step(delta, N, np.arange(1, N + 1, dtype=np.float64))
+    step = num / den  # step[c-1] = P(c) / P(c-1)
     mode = int(np.count_nonzero(step >= 1))
     p = np.ones(N + 1)
     p[mode + 1:] = np.cumprod(step[mode:])
@@ -209,6 +198,21 @@ def chain_step_pmf(delta: int, parent_count: int, child_count: int, exact=None):
                      draws=parent_count - 1)
     return polya_joint(spec, (child_count, parent_count - 1 - child_count),
                        exact=exact)
+
+
+def _inv_table(eps: int, m: int, exact: bool) -> list:
+    """I[k] = E prod_{j=1..k} (1 + j eps) / (j eps) for k = 0..m (eps >= 1).
+
+    The step law of `chain_step_pmf` at delta = eps + 2: given z_{h-1} = p,
+    z_h is beta-binomial(p-1, 1/eps, 1), and P(z_h = c | z_{h-1} = p) =
+    I[c] / (I[p-1] (1 + c eps)).  Exact tables take E = eps^m m!, so every
+    entry is an integer; float ones take E = 1.0 and grow like k^(1/eps).
+    """
+    div = operator.floordiv if exact else operator.truediv
+    inv = [eps ** m * math.factorial(m) if exact else 1.0]
+    for j in range(1, m + 1):
+        inv.append(div(inv[-1] * (1 + j * eps), j * eps))
+    return inv
 
 
 def path_chain_joint(delta: int, n: int, z, exact=None):

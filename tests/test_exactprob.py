@@ -10,11 +10,16 @@ half credit) gives the detection probability with zero shared code.
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rumorsource
 from oracles import detection_prob_by_enumeration
 from rumorsource.errors import BudgetError, ValidationError
 from rumorsource.exactprob import (DEFAULT_STATE_BUDGET, ChainMasses,
@@ -151,8 +156,9 @@ def test_float_closed_forms_are_rounded_rationals(delta, n):
 
 @pytest.mark.parametrize("n", [20001, 20002, 50001])
 def test_degree_two_float_closed_form_above_cutoff(n):
-    # above the cutoff the float central binomial term comes from scipy;
-    # the form (1 - mu/2) + mu c/2 keeps it near rounding level
+    # above the cutoff the float central binomial term comes from the
+    # series of C(2m, m)/4^m; the form (1 - mu/2) + mu c/2 keeps it near
+    # rounding level
     pairs = [(pc_all_suspects(2, n, exact=False), pc_all_suspects(2, n, exact=True))]
     pairs += [(pc_connected(2, k, n, exact=False),
                pc_connected(2, k, n, exact=True)) for k in (2, 5)]
@@ -160,6 +166,21 @@ def test_degree_two_float_closed_form_above_cutoff(n):
         assert fl.method == ex.method == "closed-form"
         assert type(fl.value) is float
         assert abs(Fraction(fl.value) - ex.value) <= 1e-14 * ex.value
+
+
+def test_degree_two_float_closed_form_imports_no_scipy_stats():
+    # the series needs only the stdlib; scipy.stats takes about a second to import
+    pkg_root = str(Path(rumorsource.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from rumorsource.exactprob import pc_all_suspects\n"
+            "pc_all_suspects(2, 10**7, exact=False)\n"
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("n", [1000, 1100, 2000])

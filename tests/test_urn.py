@@ -10,16 +10,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import enumerate_draws
 from rumorsource.errors import ValidationError
 from rumorsource.urn import (EXACT_DEFAULT_LIMIT, PolyaSpec, chain_root_pmf,
                              chain_step_pmf, incomplete_beta, limit_split_cdf,
-                             log_rising, path_chain_joint, polya_joint,
-                             rising_product, tree_split_joint,
-                             tree_split_marginal, tree_split_marginal_pmf,
-                             tree_split_spec)
+                             path_chain_joint, polya_joint, rising_product,
+                             split_step, tree_split_joint, tree_split_marginal,
+                             tree_split_marginal_pmf, tree_split_spec)
 
 
 ORACLE_SPECS = [
@@ -85,8 +85,9 @@ def test_joint_float_mode_tracks_exact():
             counts[rng.randrange(ncolors)] += 1
         ex = polya_joint(spec, tuple(counts), exact=True)
         fl = polya_joint(spec, tuple(counts), exact=False)
+        # float mode is the exact rational, rounded once
         assert isinstance(ex, Fraction) and isinstance(fl, float)
-        assert math.isclose(fl, float(ex), rel_tol=1e-12, abs_tol=1e-300)
+        assert fl == float(ex)
 
 
 def test_joint_validation():
@@ -109,9 +110,6 @@ def test_rising_product_and_log():
     assert rising_product(Fraction(1), 1, 4) == 1 * 2 * 3 * 4
     assert rising_product(Fraction(2), 3, 3) == 2 * 5 * 8
     assert rising_product(Fraction(5), 2, 0) == 1
-    assert log_rising(2.0, 3.0, 3) == pytest.approx(math.log(80.0))
-    assert log_rising(3.0, 0.0, 4) == pytest.approx(4 * math.log(3.0))
-    assert log_rising(0.0, 1.0, 2) == -math.inf
 
 
 def test_tree_split_spec_shape():
@@ -169,6 +167,20 @@ def test_tree_split_marginal_normalizes():
         for n in (1, 2, 6, 11):
             assert sum(tree_split_marginal(delta, x, n, exact=True)
                        for x in range(n)) == 1
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 12])
+def test_split_step_is_marginal_ratio(delta):
+    for n in range(2, 31):
+        N = n - 1
+        for c in range(1, n):
+            want = (tree_split_marginal(delta, c, n, exact=True)
+                    / tree_split_marginal(delta, c - 1, n, exact=True))
+            assert Fraction(*split_step(delta, N, c)) == want, (delta, n, c)
+        # an array of counts gives the same pairs, element by element
+        num, den = split_step(delta, N, np.arange(1, n))
+        assert list(zip(num.tolist(), den.tolist())) == \
+            [split_step(delta, N, c) for c in range(1, n)]
 
 
 def test_tree_split_marginal_pmf_tracks_exact():
@@ -280,8 +292,7 @@ def test_finite_split_converges_to_beta_limit():
     # a percent of the limit law at the half-way point
     n = 10 ** 4
     for delta in (3, 4, 6):
-        f_n = sum(tree_split_marginal(delta, x, n, exact=False)
-                  for x in range(n // 2 + 1))
+        f_n = float(tree_split_marginal_pmf(delta, n)[:n // 2 + 1].sum())
         lim = limit_split_cdf(delta, 0.5)
         assert abs(f_n - lim) < 0.01, (delta, f_n, lim)
 
