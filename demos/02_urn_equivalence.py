@@ -54,7 +54,7 @@ for delta in (3, 4, 6):
 # a root law for the first level, then one conditional step per level.
 print("\nlevel-count chain at delta=3, n=8:")
 z1 = 4
-print(f"  P[first level = {z1}] = {rs.chain_root_pmf(3, 8, z1)}")
+print(f"  P[first level = {z1}] = {rs.tree_split_marginal(3, z1, 8)}")
 print(f"  P[next level = 2 | {z1}] = {rs.chain_step_pmf(3, z1, 2)}")
 print(f"  joint P[levels = (4, 2, 1)] = {rs.path_chain_joint(3, 8, (4, 2, 1))}")
 

@@ -11,18 +11,18 @@ from .topology import (ExplicitGraph, Graph, LazyRegularTree, Snapshot,
                        ball_size, bfs_tree, load_edge_list, regular_tree,
                        shortest_path)
 from .spread import (SpreadConfig, simulate_si, snapshot_from_dict,
-                     snapshot_from_json, snapshot_to_dict, snapshot_to_json,
-                     subtree_counts)
+                     snapshot_from_json, snapshot_to_dict, snapshot_to_json)
 from .centrality import (CentralityReport, LocalCenterVerdict,
                          bfs_heuristic_centrality, centrality_all,
                          compare_centrality, local_rumor_center,
-                         log_rumor_centrality, rumor_centrality)
+                         log_rumor_centrality, rumor_centrality,
+                         subtree_counts)
 from .estimator import (Estimate, SuspectSet, make_suspects_all,
                         make_suspects_connected, make_suspects_two,
                         map_estimate)
-from .urn import (PolyaSpec, chain_root_pmf, chain_step_pmf, incomplete_beta,
-                  limit_split_cdf, path_chain_joint, polya_joint,
-                  tree_split_joint, tree_split_marginal)
+from .urn import (PolyaSpec, chain_step_pmf, incomplete_beta, limit_split_cdf,
+                  path_chain_joint, polya_joint, tree_split_joint,
+                  tree_split_marginal)
 from .exactprob import (ChainMasses, DetectionResult,
                         audit_two_suspect_closed_form,
                         line_two_suspect_expression, pc_all_suspects,
@@ -48,9 +48,8 @@ __all__ = [
     "log_rumor_centrality", "rumor_centrality",
     "Estimate", "SuspectSet", "make_suspects_all", "make_suspects_connected",
     "make_suspects_two", "map_estimate",
-    "PolyaSpec", "chain_root_pmf", "chain_step_pmf", "incomplete_beta",
-    "limit_split_cdf", "path_chain_joint", "polya_joint", "tree_split_joint",
-    "tree_split_marginal",
+    "PolyaSpec", "chain_step_pmf", "incomplete_beta", "limit_split_cdf",
+    "path_chain_joint", "polya_joint", "tree_split_joint", "tree_split_marginal",
     "ChainMasses", "DetectionResult", "audit_two_suspect_closed_form",
     "line_two_suspect_expression", "pc_all_suspects", "pc_conditional",
     "pc_connected", "pc_general_lower_bound", "pc_two_suspects",

@@ -9,10 +9,10 @@ order that sizes the subtrees at the snapshot's own root.
 
 Comparing two nodes needs no big counts: R(b)/R(a) is the product of those
 per-edge factors along the a-b path, a ratio of small-integer products
-(`_path_ratio`).  The MAP estimator ranks suspects this way, and when every
-infected node is a suspect it takes the tree centroid, which is exactly the
-argmax set.  On non-tree hosts the exact count is undefined and callers must
-BFS a spanning tree first.
+(`_path_ratio`).  `_tree_argmax`, the MAP estimator's tree route, ranks
+suspects this way, and when every infected node is a suspect it takes the
+tree centroid, which is exactly the argmax set.  On non-tree hosts the exact
+count is undefined and callers must BFS a spanning tree first.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .topology import Graph, Snapshot, bfs_tree
+from .topology import Graph, LazyRegularTree, Snapshot, bfs_tree
 
 
 def _require_tree(snap: Snapshot, *nodes: int) -> None:
@@ -156,6 +156,50 @@ def compare_centrality(snap: Snapshot, u: int, v: int) -> int:
     return 1 if den > num else -1
 
 
+def _tree_argmax(snap: Snapshot, candidates: list[int]) -> tuple:
+    """Ascending candidates of largest rumor centrality, exactly.
+
+    Nodes holding more than half of all nodes in their subtree form a path
+    down from the root; its lowest node is a centroid, and a child holding
+    exactly half ties with it.  With every node a candidate these are the
+    argmax set.  Otherwise, as R strictly grows along any path toward the
+    centroid, a candidate with another one strictly between it and the
+    centroid loses; the rest play an ascending-id tournament by exact path
+    ratio against the current best.
+    """
+    n, parent_of = snap.n, snap.parent_of
+    size = _subtree_sizes(snap)
+    heavy = [v for v in snap.order if 2 * size[v] >= n]
+    center = min((v for v in heavy if 2 * size[v] > n), key=size.__getitem__)
+    if len(candidates) == n:
+        return tuple(sorted(v for v in heavy if v == center or 2 * size[v] == n))
+    cand = set(candidates)
+    chain = list(_ancestors(snap, center))
+    toward = dict(zip(chain[1:], chain))  # root-side nodes, turned to center
+    blocked = {center: False}  # a candidate at x or beyond, short of center
+
+    def is_blocked(x):
+        path = []
+        while x not in blocked:
+            path.append(x)
+            x = toward.get(x, parent_of[x])
+        hit = blocked[x]
+        for y in reversed(path):
+            hit = blocked[y] = hit or y in cand
+        return hit
+
+    best, best_chain = None, None  # the first contender beats the empty field
+    for c in candidates:
+        if c != center and is_blocked(toward.get(c, parent_of[c])):
+            continue
+        num, den = _path_ratio(snap, size, best_chain, c) if best else (1, 0)
+        if num > den:
+            best, best_chain = [c], _ancestors(snap, c)
+        elif num == den:
+            best.append(c)
+    return tuple(best)
+
+
 @dataclass
 class LocalCenterVerdict:
     """Outcome of the local-center test at a node."""
@@ -189,6 +233,23 @@ def local_rumor_center(snap: Snapshot, omega: int,
             tied = u
     return LocalCenterVerdict(is_center=ok, tied_neighbor=tied if ok else None,
                               subtree_sizes=sizes)
+
+
+def subtree_counts(snap: Snapshot, root: int) -> list[int]:
+    """Infection counts in each subtree hanging off `root`, neighbor-id order.
+
+    Sums to snap.n - 1.  The snapshot must be a tree in its host.  When the
+    host graph is known, uninfected branches show up as zeros; a detached
+    snapshot (host None) can only report the branches it actually contains.
+    """
+    _require_tree(snap, root)
+    branch = _branch_sizes(snap, _subtree_sizes(snap), root)
+    neigh = set(branch)
+    if isinstance(snap.host, LazyRegularTree):
+        neigh.update(snap.host.known_neighbors(root))
+    elif snap.host is not None:
+        neigh.update(snap.host.neighbors(root))
+    return [branch.get(v, 0) for v in sorted(neigh)]
 
 
 def bfs_heuristic_centrality(g: Graph, nodes, s: int) -> int:

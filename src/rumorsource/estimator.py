@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError
 from .topology import Graph, Snapshot, _bfs_layers, shortest_path
-from .centrality import (_ancestors, _path_ratio, _subtree_sizes,
-                         bfs_heuristic_centrality)
+from .centrality import _tree_argmax, bfs_heuristic_centrality
 
 
 @dataclass(frozen=True)
@@ -116,47 +115,3 @@ def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Est
     pick = random.Random(tie_seed).randrange(len(argmax)) if tie else 0
     return Estimate(chosen=argmax[pick], argmax_set=argmax, tie_broken=tie,
                     method="tree-exact" if tree else "bfs-heuristic")
-
-
-def _tree_argmax(snap: Snapshot, candidates: list[int]) -> tuple:
-    """Ascending candidates of largest rumor centrality, exactly.
-
-    Nodes holding more than half of all nodes in their subtree form a path
-    down from the root; its lowest node is a centroid, and a child holding
-    exactly half ties with it.  With every node a candidate these are the
-    argmax set.  Otherwise, as R strictly grows along any path toward the
-    centroid, a candidate with another one strictly between it and the
-    centroid loses; the rest play an ascending-id tournament by exact path
-    ratio against the current best.
-    """
-    n, parent_of = snap.n, snap.parent_of
-    size = _subtree_sizes(snap)
-    heavy = [v for v in snap.order if 2 * size[v] >= n]
-    center = min((v for v in heavy if 2 * size[v] > n), key=size.__getitem__)
-    if len(candidates) == n:
-        return tuple(sorted(v for v in heavy if v == center or 2 * size[v] == n))
-    cand = set(candidates)
-    chain = list(_ancestors(snap, center))
-    toward = dict(zip(chain[1:], chain))  # root-side nodes, turned to center
-    blocked = {center: False}  # a candidate at x or beyond, short of center
-
-    def is_blocked(x):
-        path = []
-        while x not in blocked:
-            path.append(x)
-            x = toward.get(x, parent_of[x])
-        hit = blocked[x]
-        for y in reversed(path):
-            hit = blocked[y] = hit or y in cand
-        return hit
-
-    best, best_chain = None, None  # the first contender beats the empty field
-    for c in candidates:
-        if c != center and is_blocked(toward.get(c, parent_of[c])):
-            continue
-        num, den = _path_ratio(snap, size, best_chain, c) if best else (1, 0)
-        if num > den:
-            best, best_chain = [c], _ancestors(snap, c)
-        elif num == den:
-            best.append(c)
-    return tuple(best)

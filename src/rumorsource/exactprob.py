@@ -20,8 +20,10 @@ every exact engine here:
 * the survival bound for deep suspect pairs is the error mass of the
   pruned walk at d = depth.
 
-Results are exact by default up to n = 500, floats beyond.  Exact masses
-are integers over one common denominator, made Fractions only at the end.
+This module alone picks exact or float arithmetic (the urn oracles are
+exact only): exact=None means Fractions up to n = 500
+(`EXACT_DEFAULT_LIMIT`), floats beyond.  Exact masses are integers over
+one common denominator, made Fractions only at the end.
 Both root laws step by one ratio (`urn.split_step`): the exact one in
 integers, the float one outward from its mode and divided by its sum
 (`urn.tree_split_marginal_pmf`).  Tie mass enters with weight 1/2.
@@ -37,13 +39,19 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import BudgetError, ValidationError
-from .urn import (_check_delta_n, _inv_table, _resolve_exact, limit_split_cdf,
-                  rising_product, split_step, tree_split_marginal_pmf)
+from .urn import (_check_delta_n, _inv_table, limit_split_cdf, rising_product,
+                  split_step, tree_split_marginal_pmf)
 
+# exact=None means Fractions up to this many infected nodes, floats beyond.
+EXACT_DEFAULT_LIMIT = 500
 # Visited-state cap for the two-suspect chain walk.
 DEFAULT_STATE_BUDGET = 3_000_000
 # Above this n the float degree-2 closed form uses a series, not a big Fraction.
 BINOM_FLOAT_N = 20_000
+
+
+def _resolve_exact(exact, n: int) -> bool:
+    return n <= EXACT_DEFAULT_LIMIT if exact is None else bool(exact)
 
 
 @dataclass(frozen=True)
@@ -330,7 +338,8 @@ def two_suspect_chain_audit(delta: int, d: int, n: int, exact=True,
     _check_delta_n(delta, n)
     if d < 1:
         raise ValidationError(f"suspect distance must be >= 1, got {d}")
-    return _chain_masses(delta, n, d, bool(exact), max_states, prune=False)
+    return _chain_masses(delta, n, d, _resolve_exact(exact, n), max_states,
+                         prune=False)
 
 
 def two_suspect_survival_mass(delta: int, depth: int, n: int, exact=True,
@@ -348,7 +357,7 @@ def two_suspect_survival_mass(delta: int, depth: int, n: int, exact=True,
     _check_delta_n(delta, n)
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    return _chain_masses(delta, n, depth, bool(exact), max_states,
+    return _chain_masses(delta, n, depth, _resolve_exact(exact, n), max_states,
                          prune=True).error
 
 

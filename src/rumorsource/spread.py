@@ -139,25 +139,6 @@ def _run_exponential_clocks(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
     return Snapshot(root=source, order=order, parent_of=parent, host=g)
 
 
-def subtree_counts(snap: Snapshot, root: int) -> list[int]:
-    """Infection counts in each subtree hanging off `root`, neighbor-id order.
-
-    Sums to snap.n - 1.  The snapshot must be a tree in its host.  When the
-    host graph is known, uninfected branches show up as zeros; a detached
-    snapshot (host None) can only report the branches it actually contains.
-    """
-    from .centrality import _branch_sizes, _require_tree, _subtree_sizes
-
-    _require_tree(snap, root)
-    branch = _branch_sizes(snap, _subtree_sizes(snap), root)
-    neigh = set(branch)
-    if isinstance(snap.host, LazyRegularTree):
-        neigh.update(snap.host.known_neighbors(root))
-    elif snap.host is not None:
-        neigh.update(snap.host.neighbors(root))
-    return [branch.get(v, 0) for v in sorted(neigh)]
-
-
 def snapshot_to_dict(snap: Snapshot) -> dict:
     """Plain-data form: infection-ordered node list plus child->parent pairs."""
     return {

@@ -19,9 +19,7 @@ MAX_NODES = 4_000_000
 
 
 class Graph:
-    """Common interface: membership, neighbor lists, kind tag."""
-
-    kind = "abstract"
+    """Common interface: membership and neighbor lists."""
 
     def __contains__(self, u: int) -> bool:
         raise NotImplementedError
@@ -33,8 +31,6 @@ class Graph:
 
 class ExplicitGraph(Graph):
     """Finite undirected graph held as an adjacency map."""
-
-    kind = "explicit"
 
     def __init__(self, adjacency: dict[int, list[int] | set[int]]):
         self._adj = {u: sorted(vs) for u, vs in adjacency.items()}
@@ -83,8 +79,6 @@ class LazyRegularTree(Graph):
     way yields the same ids.  Growth is unsynchronized: `neighbors` may
     append, so share a tree between threads only once it is fully grown.
     """
-
-    kind = "lazy-regular"
 
     def __init__(self, delta: int):
         if delta < 2:
@@ -256,7 +250,7 @@ class Snapshot:
         Without a host the snapshot's own parent tree is all there is, so
         the answer is True.
         """
-        if self.host is None or self.host.kind == "lazy-regular":
+        if self.host is None or isinstance(self.host, LazyRegularTree):
             return True
         inside = self.nodes
         twice_edges = sum(

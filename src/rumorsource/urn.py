@@ -10,8 +10,8 @@ matter here: one ball per source-neighbor subtree with eps = delta-2 (the
 joint subtree split), and the (1, delta-1) two-color collapse (one subtree
 against the rest).  Each law is stated once, here: `polya_joint` is the
 exact oracle, `split_step` the root step ratio and `_inv_table` the step
-law below the root.  Urn oracles compute every value as a Fraction; float
-mode rounds that value once.
+law below the root.  The urn oracles return exact Fractions at every size;
+large-n float callers sum `tree_split_marginal_pmf` instead.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import ValidationError
-
-# Fractions by default up to this many draws (or infected nodes), floats
-# beyond; an urn oracle's float is its Fraction rounded once.
-EXACT_DEFAULT_LIMIT = 500
-
 
 @dataclass(frozen=True)
 class PolyaSpec:
@@ -63,12 +58,6 @@ def _check_delta_n(delta: int, n: int) -> None:
         raise ValidationError(f"n must be >= 1, got {n}")
 
 
-def _resolve_exact(exact, size: int) -> bool:
-    if exact is None:
-        return size <= EXACT_DEFAULT_LIMIT
-    return bool(exact)
-
-
 def rising_product(b: int, eps: int, x: int) -> int:
     """b (b+eps) ... (b+(x-1)eps) as an exact integer; empty product is 1."""
     out = 1
@@ -77,12 +66,10 @@ def rising_product(b: int, eps: int, x: int) -> int:
     return out
 
 
-def polya_joint(spec: PolyaSpec, counts, exact=None):
-    """Probability that the urn ends with exactly `counts` draws per color.
+def polya_joint(spec: PolyaSpec, counts) -> Fraction:
+    """Exact probability that the urn ends with `counts` draws per color.
 
-    counts must be non-negative and sum to spec.draws.  The value is
-    computed as a Fraction; it is returned as is in exact mode and rounded
-    once to a float otherwise (exact=None picks by draw count).
+    counts must be non-negative and sum to spec.draws.
     """
     counts = tuple(counts)
     if len(counts) != len(spec.initial):
@@ -99,8 +86,7 @@ def polya_joint(spec: PolyaSpec, counts, exact=None):
     for b_j, x_j in zip(spec.initial, counts):
         coef //= math.factorial(x_j)
         num *= rising_product(b_j, spec.increment, x_j)
-    p = Fraction(coef * num, rising_product(sum(spec.initial), spec.increment, spec.draws))
-    return p if _resolve_exact(exact, spec.draws) else float(p)
+    return Fraction(coef * num, rising_product(sum(spec.initial), spec.increment, spec.draws))
 
 
 def tree_split_spec(delta: int, n: int) -> PolyaSpec:
@@ -109,19 +95,19 @@ def tree_split_spec(delta: int, n: int) -> PolyaSpec:
     return PolyaSpec(initial=(1,) * delta, increment=delta - 2, draws=n - 1)
 
 
-def tree_split_joint(delta: int, counts, n: int, exact=None):
+def tree_split_joint(delta: int, counts, n: int) -> Fraction:
     """Joint law of the delta subtree sizes around the source at n infected."""
     counts = tuple(counts)
     if len(counts) != delta:
         raise ValidationError(f"need {delta} subtree counts, got {len(counts)}")
-    return polya_joint(tree_split_spec(delta, n), counts, exact=exact)
+    return polya_joint(tree_split_spec(delta, n), counts)
 
 
-def tree_split_marginal(delta: int, x1: int, n: int, exact=None):
+def tree_split_marginal(delta: int, x1: int, n: int) -> Fraction:
     """Law of one subtree's size against the other delta-1 combined."""
     _check_delta_n(delta, n)
     spec = PolyaSpec(initial=(1, delta - 1), increment=delta - 2, draws=n - 1)
-    return polya_joint(spec, (x1, n - 1 - x1), exact=exact)
+    return polya_joint(spec, (x1, n - 1 - x1))
 
 
 def split_step(delta: int, N: int, c):
@@ -174,14 +160,7 @@ def limit_split_cdf(delta: int, x: float) -> float:
     return incomplete_beta(x, 1.0 / e, (delta - 1.0) / e)
 
 
-def chain_root_pmf(delta: int, n: int, z1: int, exact=None):
-    """P[first subtree toward the second suspect has z1 of n-1 infections]."""
-    if not 0 <= z1 <= n - 1:
-        raise ValidationError(f"z1 must lie in [0, {n - 1}], got {z1}")
-    return tree_split_marginal(delta, z1, n, exact=exact)
-
-
-def chain_step_pmf(delta: int, parent_count: int, child_count: int, exact=None):
+def chain_step_pmf(delta: int, parent_count: int, child_count: int) -> Fraction:
     """One step down the suspect path: next subtree size given the previous.
 
     Given z infections fell in the subtree at distance h-1, the subtree one
@@ -196,26 +175,25 @@ def chain_step_pmf(delta: int, parent_count: int, child_count: int, exact=None):
         )
     spec = PolyaSpec(initial=(1, delta - 2), increment=delta - 2,
                      draws=parent_count - 1)
-    return polya_joint(spec, (child_count, parent_count - 1 - child_count),
-                       exact=exact)
+    return polya_joint(spec, (child_count, parent_count - 1 - child_count))
 
 
-def _inv_table(eps: int, m: int, exact: bool) -> list:
+def _inv_table(eps: int, m: int, integer: bool) -> list:
     """I[k] = E prod_{j=1..k} (1 + j eps) / (j eps) for k = 0..m (eps >= 1).
 
     The step law of `chain_step_pmf` at delta = eps + 2: given z_{h-1} = p,
     z_h is beta-binomial(p-1, 1/eps, 1), and P(z_h = c | z_{h-1} = p) =
-    I[c] / (I[p-1] (1 + c eps)).  Exact tables take E = eps^m m!, so every
+    I[c] / (I[p-1] (1 + c eps)).  Integer tables take E = eps^m m!, so every
     entry is an integer; float ones take E = 1.0 and grow like k^(1/eps).
     """
-    div = operator.floordiv if exact else operator.truediv
-    inv = [eps ** m * math.factorial(m) if exact else 1.0]
+    div = operator.floordiv if integer else operator.truediv
+    inv = [eps ** m * math.factorial(m) if integer else 1.0]
     for j in range(1, m + 1):
         inv.append(div(inv[-1] * (1 + j * eps), j * eps))
     return inv
 
 
-def path_chain_joint(delta: int, n: int, z, exact=None):
+def path_chain_joint(delta: int, n: int, z) -> Fraction:
     """Joint law of subtree sizes along a path away from the source.
 
     z = (z_1, ..., z_d): z_h counts infections in the subtree rooted at the
@@ -232,8 +210,7 @@ def path_chain_joint(delta: int, n: int, z, exact=None):
         raise ValidationError(f"innermost size must be >= 1, got {z[-1]}")
     if z[0] > n - 1:
         raise ValidationError(f"z1 must be <= n-1 = {n - 1}, got {z[0]}")
-    use_exact = _resolve_exact(exact, n)
-    p = chain_root_pmf(delta, n, z[0], exact=use_exact)
+    p = tree_split_marginal(delta, z[0], n)
     for prev, cur in zip(z, z[1:]):
-        p *= chain_step_pmf(delta, prev, cur, exact=use_exact)
+        p *= chain_step_pmf(delta, prev, cur)
     return p

@@ -119,10 +119,10 @@ def test_tail_identity_degree_two():
 def test_tail_matches_marginal_sum(delta):
     # the tail summed straight from the urn marginal of one subtree
     for n in range(1, 41):
-        want = sum(tree_split_marginal(delta, x, n, exact=True)
+        want = sum(tree_split_marginal(delta, x, n)
                    for x in range(n) if 2 * x > n)
         if n % 2 == 0:
-            want += tree_split_marginal(delta, n // 2, n, exact=True) / 2
+            want += tree_split_marginal(delta, n // 2, n) / 2
         assert single_subtree_tail(delta, n, exact=True) == want, (delta, n)
 
 
@@ -255,9 +255,9 @@ def test_two_suspects_matches_chain_sum(delta):
                 num = math.prod(z)
                 den = math.prod(n - c for c in z)
                 if num > den:
-                    err += path_chain_joint(delta, n, z, exact=True)
+                    err += path_chain_joint(delta, n, z)
                 elif num == den:
-                    tie += path_chain_joint(delta, n, z, exact=True)
+                    tie += path_chain_joint(delta, n, z)
             got = pc_two_suspects(delta, d, n, exact=True).value
             assert got == 1 - err - tie / 2, (delta, n, d)
 
@@ -272,7 +272,7 @@ def test_inv_table_states_the_step_law(delta):
     assert inv[0] == eps ** 23 * math.factorial(23)
     for p in range(1, 25):
         for c in range(p):
-            want = chain_step_pmf(delta, p, c, exact=True)
+            want = chain_step_pmf(delta, p, c)
             got = Fraction(inv[c], inv[p - 1] * (1 + c * eps))
             assert got == want, (delta, p, c)
     floats = _inv_table(eps, 23, False)
@@ -329,6 +329,17 @@ def test_chain_audit_sums_to_one():
                 assert pc == 1 - audit.error - Fraction(audit.tie, 2)
 
 
+def test_audit_and_survival_resolve_exact_like_pc():
+    # exact=None follows the pc_* rule: Fractions up to n = 500, floats above
+    audit = two_suspect_chain_audit(3, 2, 40, exact=None)
+    assert isinstance(audit.error, Fraction) and audit.total == 1
+    assert isinstance(two_suspect_survival_mass(3, 2, 40, exact=None), Fraction)
+    assert isinstance(two_suspect_chain_audit(3, 1, 600, exact=None).error, float)
+    assert isinstance(two_suspect_survival_mass(3, 1, 600, exact=None), float)
+    # the default stays exact at any n
+    assert isinstance(two_suspect_survival_mass(3, 1, 600), Fraction)
+
+
 def test_two_suspect_budget():
     with pytest.raises(BudgetError):
         pc_two_suspects(3, 4, 200, exact=True, max_states=50)
@@ -366,7 +377,7 @@ def test_survival_mass_matches_chain_sum():
                         if num <= den:
                             break
                     else:
-                        want += path_chain_joint(delta, n, z, exact=True)
+                        want += path_chain_joint(delta, n, z)
                 got = two_suspect_survival_mass(delta, depth, n)
                 assert got == want, (delta, n, depth)
 

@@ -8,12 +8,12 @@ from scipy import stats
 
 from oracles import ReferenceTree, reference_spread
 from rumorsource import topology
+from rumorsource.centrality import subtree_counts
 from rumorsource.errors import BackendError, CapacityError, ValidationError
 from rumorsource.estimator import make_suspects_connected
 from rumorsource.spread import (BACKENDS, SpreadConfig, simulate_si,
                                 snapshot_from_dict, snapshot_from_json,
-                                snapshot_to_dict, snapshot_to_json,
-                                subtree_counts)
+                                snapshot_to_dict, snapshot_to_json)
 from rumorsource.topology import ExplicitGraph, LazyRegularTree, regular_tree
 from rumorsource.urn import tree_split_joint
 
@@ -145,7 +145,7 @@ def test_split_law_matches_urn(backend):
     n, trials = 5, 40000
     comps = [c for c in itertools.product(range(n), repeat=3)
              if sum(c) == n - 1]
-    expected = {c: float(tree_split_joint(3, c, n, exact=True)) * trials
+    expected = {c: float(tree_split_joint(3, c, n)) * trials
                 for c in comps}
     observed = {c: 0 for c in comps}
     for t in range(trials):

@@ -15,11 +15,12 @@ import pytest
 
 from oracles import enumerate_draws
 from rumorsource.errors import ValidationError
-from rumorsource.urn import (EXACT_DEFAULT_LIMIT, PolyaSpec, chain_root_pmf,
-                             chain_step_pmf, incomplete_beta, limit_split_cdf,
-                             path_chain_joint, polya_joint, rising_product,
-                             split_step, tree_split_joint, tree_split_marginal,
-                             tree_split_marginal_pmf, tree_split_spec)
+from rumorsource.exactprob import EXACT_DEFAULT_LIMIT, pc_all_suspects
+from rumorsource.urn import (PolyaSpec, chain_step_pmf, incomplete_beta,
+                             limit_split_cdf, path_chain_joint, polya_joint,
+                             rising_product, split_step, tree_split_joint,
+                             tree_split_marginal, tree_split_marginal_pmf,
+                             tree_split_spec)
 
 
 ORACLE_SPECS = [
@@ -43,7 +44,7 @@ def test_joint_matches_draw_enumeration(spec):
         if sum(counts) != spec.draws:
             continue
         want = oracle.get(counts, Fraction(0))
-        got = polya_joint(spec, counts, exact=True)
+        got = polya_joint(spec, counts)
         assert got == want, (spec, counts)
         total += got
     assert total == 1
@@ -54,13 +55,13 @@ def test_joint_classic_uniform():
     for n in range(1, 8):
         spec = PolyaSpec(initial=(1, 1), increment=1, draws=n)
         for x in range(n + 1):
-            assert polya_joint(spec, (x, n - x), exact=True) == Fraction(1, n + 1)
+            assert polya_joint(spec, (x, n - x)) == Fraction(1, n + 1)
 
 
 def test_joint_zero_ball_color_never_drawn():
     spec = PolyaSpec(initial=(1, 0), increment=1, draws=3)
-    assert polya_joint(spec, (3, 0), exact=True) == 1
-    assert polya_joint(spec, (2, 1), exact=True) == 0
+    assert polya_joint(spec, (3, 0)) == 1
+    assert polya_joint(spec, (2, 1)) == 0
 
 
 def test_joint_exchangeable_in_equal_colors():
@@ -68,36 +69,19 @@ def test_joint_exchangeable_in_equal_colors():
     for counts in itertools.product(range(6), repeat=3):
         if sum(counts) != 5:
             continue
-        base = polya_joint(spec, counts, exact=True)
+        base = polya_joint(spec, counts)
         for perm in itertools.permutations(counts):
-            assert polya_joint(spec, perm, exact=True) == base
-
-
-def test_joint_float_mode_tracks_exact():
-    rng = random.Random(11)
-    for _ in range(40):
-        ncolors = rng.randrange(2, 4)
-        spec = PolyaSpec(initial=tuple(rng.randrange(1, 4) for _ in range(ncolors)),
-                         increment=rng.randrange(0, 4),
-                         draws=rng.randrange(1, 7))
-        counts = [0] * ncolors
-        for _ in range(spec.draws):
-            counts[rng.randrange(ncolors)] += 1
-        ex = polya_joint(spec, tuple(counts), exact=True)
-        fl = polya_joint(spec, tuple(counts), exact=False)
-        # float mode is the exact rational, rounded once
-        assert isinstance(ex, Fraction) and isinstance(fl, float)
-        assert fl == float(ex)
+            assert polya_joint(spec, perm) == base
 
 
 def test_joint_validation():
     spec = PolyaSpec(initial=(1, 1), increment=1, draws=3)
     with pytest.raises(ValidationError):
-        polya_joint(spec, (1, 1), exact=True)  # wrong total
+        polya_joint(spec, (1, 1))  # wrong total
     with pytest.raises(ValidationError):
-        polya_joint(spec, (1, 1, 1), exact=True)  # wrong arity
+        polya_joint(spec, (1, 1, 1))  # wrong arity
     with pytest.raises(ValidationError):
-        polya_joint(spec, (4, -1), exact=True)
+        polya_joint(spec, (4, -1))
     with pytest.raises(ValidationError):
         PolyaSpec(initial=(0, 0), increment=1, draws=2)
     with pytest.raises(ValidationError):
@@ -125,9 +109,9 @@ def test_tree_split_joint_small_cases():
     comps = [c for c in itertools.product(range(4), repeat=3) if sum(c) == 3]
     assert len(comps) == 10
     for c in comps:
-        assert tree_split_joint(3, c, n, exact=True) == Fraction(2, n * (n + 1))
+        assert tree_split_joint(3, c, n) == Fraction(2, n * (n + 1))
     # degree four, three nodes: first branch gets both remaining nodes
-    assert tree_split_marginal(4, 2, 3, exact=True) == Fraction(1, 8)
+    assert tree_split_marginal(4, 2, 3) == Fraction(1, 8)
 
 
 def test_tree_split_joint_uniform_identity_degree_three():
@@ -141,7 +125,7 @@ def test_tree_split_joint_uniform_identity_degree_three():
             if c in seen:
                 continue
             seen.add(c)
-            assert tree_split_joint(3, c, n, exact=True) == Fraction(2, n * (n + 1))
+            assert tree_split_joint(3, c, n) == Fraction(2, n * (n + 1))
 
 
 def test_tree_split_marginal_is_joint_sum():
@@ -151,21 +135,21 @@ def test_tree_split_marginal_is_joint_sum():
                 s = Fraction(0)
                 for rest in itertools.product(range(n), repeat=delta - 1):
                     if sum(rest) == n - 1 - x1:
-                        s += tree_split_joint(delta, (x1,) + rest, n, exact=True)
-                assert tree_split_marginal(delta, x1, n, exact=True) == s
+                        s += tree_split_joint(delta, (x1,) + rest, n)
+                assert tree_split_marginal(delta, x1, n) == s
 
 
 def test_tree_split_marginal_degree_three_closed_form():
     for n in range(2, 30):
         for x in range(n):
-            got = tree_split_marginal(3, x, n, exact=True)
+            got = tree_split_marginal(3, x, n)
             assert got == Fraction(2 * (n - x), n * (n + 1))
 
 
 def test_tree_split_marginal_normalizes():
     for delta in (2, 3, 5):
         for n in (1, 2, 6, 11):
-            assert sum(tree_split_marginal(delta, x, n, exact=True)
+            assert sum(tree_split_marginal(delta, x, n)
                        for x in range(n)) == 1
 
 
@@ -174,8 +158,8 @@ def test_split_step_is_marginal_ratio(delta):
     for n in range(2, 31):
         N = n - 1
         for c in range(1, n):
-            want = (tree_split_marginal(delta, c, n, exact=True)
-                    / tree_split_marginal(delta, c - 1, n, exact=True))
+            want = (tree_split_marginal(delta, c, n)
+                    / tree_split_marginal(delta, c - 1, n))
             assert Fraction(*split_step(delta, N, c)) == want, (delta, n, c)
         # an array of counts gives the same pairs, element by element
         num, den = split_step(delta, N, np.arange(1, n))
@@ -189,25 +173,26 @@ def test_tree_split_marginal_pmf_tracks_exact():
             got = tree_split_marginal_pmf(delta, n)
             assert len(got) == n
             for x in range(n):
-                want = float(tree_split_marginal(delta, x, n, exact=True))
+                want = float(tree_split_marginal(delta, x, n))
                 assert math.isclose(got[x], want, rel_tol=1e-13), (delta, n, x)
     # at delta = 2 the extreme counts (2^-(n-1)) underflow; the law does not
     p = tree_split_marginal_pmf(2, 3001)
     assert p[0] == 0.0 and math.isclose(p.sum(), 1.0, rel_tol=1e-15)
-    want = float(tree_split_marginal(2, 1500, 3001, exact=True))
+    want = float(tree_split_marginal(2, 1500, 3001))
     assert math.isclose(p[1500], want, rel_tol=1e-13)
     with pytest.raises(ValidationError):
         tree_split_marginal_pmf(1, 5)
 
 
 def test_chain_root_pmf():
+    # the chain's root law is the one-subtree marginal
     n = 9
-    assert sum(chain_root_pmf(3, n, z) for z in range(n)) == 1
+    assert sum(tree_split_marginal(3, z, n) for z in range(n)) == 1
     for z in range(n):
-        assert chain_root_pmf(3, n, z) == Fraction(2 * (n - z), n * (n + 1))
+        assert tree_split_marginal(3, z, n) == Fraction(2 * (n - z), n * (n + 1))
     # degree two: the first subtree size is binomial-with-uniform urn, one ball
     # plus zero-increment companion; root pmf must still normalize
-    assert sum(chain_root_pmf(2, n, z) for z in range(n)) == 1
+    assert sum(tree_split_marginal(2, z, n) for z in range(n)) == 1
 
 
 def test_chain_step_pmf_degree_three_uniform():
@@ -235,12 +220,12 @@ def test_path_chain_joint():
     # one-level chain is just the root pmf (empty chains and zero tails are
     # separate events and get rejected)
     for z1 in range(1, n):
-        assert path_chain_joint(3, n, (z1,)) == chain_root_pmf(3, n, z1)
+        assert path_chain_joint(3, n, (z1,)) == tree_split_marginal(3, z1, n)
     # two levels, degree three: root pmf times uniform step
     assert path_chain_joint(3, n, (5, 2)) == \
-        chain_root_pmf(3, n, 5) * Fraction(1, 5)
+        tree_split_marginal(3, 5, n) * Fraction(1, 5)
     # degree two chains force a strict countdown
-    assert path_chain_joint(2, n, (4, 3, 2)) == chain_root_pmf(2, n, 4)
+    assert path_chain_joint(2, n, (4, 3, 2)) == tree_split_marginal(2, 4, n)
     assert path_chain_joint(2, n, (4, 2)) == 0
     with pytest.raises(ValidationError):
         path_chain_joint(3, n, (3, 3))
@@ -300,7 +285,7 @@ def test_finite_split_converges_to_beta_limit():
 def test_exact_default_limit_is_sane():
     assert EXACT_DEFAULT_LIMIT == 500
     # auto mode picks rationals below the cutoff and floats above
-    lo = tree_split_marginal(3, 4, 100)
-    hi = tree_split_marginal(3, 4, 10 ** 4)
-    assert isinstance(lo, Fraction)
-    assert isinstance(hi, float)
+    assert isinstance(pc_all_suspects(4, 100).value, Fraction)
+    assert isinstance(pc_all_suspects(4, 600).value, float)
+    # the urn oracles are exact at every size
+    assert isinstance(tree_split_marginal(3, 4, 601), Fraction)
