@@ -48,5 +48,5 @@ print(rs.reports_to_csv(reports))
 sweep = rs.figure_sweep("fig8", seed=SEED, n=100, trials=200, ks=(2, 5))
 print("connected-k sweep at n=100:")
 for rep in sweep:
-    print(f"  delta={rep.delta} k={rep.k}: empirical {rep.empirical_pc:.3f} "
+    print(f"  delta={rep.config.delta} k={rep.config.k}: empirical {rep.empirical_pc:.3f} "
           f"vs exact {rep.exact_pc:.3f}")

@@ -14,12 +14,10 @@ import sys
 
 from .errors import BudgetError, CapacityError, ValidationError
 from .estimator import SuspectSet, map_estimate
-from .exactprob import (DEFAULT_STATE_BUDGET, DetectionResult,
-                        pc_all_suspects, pc_conditional, pc_connected,
-                        pc_general_lower_bound, pc_two_suspects, phi1, phi2,
-                        phi3)
-from .harness import (ExperimentConfig, figure_sweep, reports_to_csv,
-                      run_experiment)
+from .exactprob import DEFAULT_STATE_BUDGET
+from .harness import (EXACT_SCENARIOS, LIMITS, SCENARIOS, ExperimentConfig,
+                      figure_sweep, reports_to_csv, run_experiment,
+                      scenario_exact, scenario_limit, scenario_param)
 from .spread import (SpreadConfig, simulate_si, snapshot_from_json,
                      snapshot_to_json)
 from .topology import LazyRegularTree, load_edge_list
@@ -81,35 +79,15 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    scenario = args.scenario
     if args.max_states < 1:
         raise ValidationError(f"--max-states must be >= 1, got {args.max_states}")
-    if scenario == "all-suspects":
-        res = pc_all_suspects(args.delta, args.n, exact=args.exact_arith)
-    elif scenario == "connected-k":
-        if args.k is None:
-            raise ValidationError("connected-k needs --k")
-        res = pc_connected(args.delta, args.k, args.n, exact=args.exact_arith)
-    elif scenario == "two-at-d":
-        if args.d is None:
-            raise ValidationError("two-at-d needs --d")
-        res = pc_two_suspects(args.delta, args.d, args.n, exact=args.exact_arith,
-                              max_states=args.max_states)
-    elif scenario == "general-k-bound":
-        if args.k is None:
-            raise ValidationError("general-k-bound needs --k")
-        res = pc_general_lower_bound(args.delta, args.k, args.n,
-                                     exact=args.exact_arith)
-    else:  # conditional
-        if args.m is None:
-            raise ValidationError("conditional needs --m")
-        v = pc_conditional(args.delta, args.m, args.n, exact=args.exact_arith)
-        res = DetectionResult(value=v, method="tail-sum",
-                              scenario="conditional")
+    param = scenario_param(args.scenario, k=args.k, d=args.d, m=args.m)
+    res = scenario_exact(args.scenario, args.delta, args.n, param,
+                         exact=args.exact_arith, max_states=args.max_states)
     if args.format == "json":
-        doc = {"scenario": scenario, "delta": args.delta, "n": args.n,
-               "k": args.k, "d": args.d, "value": float(res.value),
-               "method": res.method}
+        doc = {"scenario": args.scenario, "delta": args.delta, "n": args.n,
+               "k": args.k, "d": args.d, "m": args.m,
+               "value": float(res.value), "method": res.method}
         if hasattr(res.value, "numerator"):
             doc["rational"] = f"{res.value.numerator}/{res.value.denominator}"
         _write(json.dumps(doc, indent=2), args.output)
@@ -119,15 +97,9 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_asymptotic(args) -> int:
-    if args.limit == "phi1":
-        v = phi1(args.delta)
-    elif args.limit == "phi2":
-        if args.k is None:
-            raise ValidationError("phi2 needs --k")
-        v = phi2(args.delta, args.k)
-    else:
-        v = phi3(args.delta)
-    _write(_fmt(v), args.output)
+    scenario, fixed = LIMITS[args.limit]
+    param = scenario_param(scenario, k=args.k, **fixed)
+    _write(_fmt(scenario_limit(scenario, args.delta, param)), args.output)
     return EXIT_OK
 
 
@@ -193,9 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("exact", help="exact detection probability")
-    p.add_argument("scenario", choices=["all-suspects", "connected-k",
-                                        "two-at-d", "general-k-bound",
-                                        "conditional"])
+    p.add_argument("scenario", choices=EXACT_SCENARIOS)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
@@ -213,15 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("asymptotic", help="large-n detection limits")
-    p.add_argument("limit", choices=["phi1", "phi2", "phi3"])
+    p.add_argument("limit", choices=list(LIMITS))
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_asymptotic)
 
     p = sub.add_parser("experiment", help="Monte Carlo vs exact theory")
-    p.add_argument("--scenario", required=True,
-                   choices=["all-suspects", "connected-k", "two-at-d"])
+    p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)

@@ -22,22 +22,14 @@ from .centrality import _tree_argmax, bfs_heuristic_centrality
 
 @dataclass(frozen=True)
 class SuspectSet:
-    """Candidate sources with an implied uniform prior.
-
-    pattern is one of "all", "connected", "two", "general"; param carries k
-    (connected) or the distance d (two).
-    """
+    """Candidate sources with an implied uniform prior."""
 
     members: frozenset
-    pattern: str = "general"
-    param: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "members", frozenset(self.members))
         if not self.members:
             raise ValidationError("suspect set cannot be empty")
-        if self.pattern not in ("all", "connected", "two", "general"):
-            raise ValidationError(f"unknown suspect pattern {self.pattern!r}")
 
     def __len__(self):
         return len(self.members)
@@ -48,7 +40,7 @@ class SuspectSet:
 
 def make_suspects_all(snap: Snapshot) -> SuspectSet:
     """Everyone infected is suspect (the no-prior-information case)."""
-    return SuspectSet(snap.nodes, pattern="all")
+    return SuspectSet(snap.nodes)
 
 
 def make_suspects_connected(g: Graph, anchor: int, k: int) -> SuspectSet:
@@ -61,18 +53,18 @@ def make_suspects_connected(g: Graph, anchor: int, k: int) -> SuspectSet:
     for layer, _ in _bfs_layers(g, anchor):
         chosen.extend(layer[:k - len(chosen)])
         if len(chosen) == k:
-            return SuspectSet(chosen, pattern="connected", param=k)
+            return SuspectSet(chosen)
     raise CapacityError(
         f"component of {anchor} has only {len(chosen)} nodes, need {k}"
     )
 
 
 def make_suspects_two(g: Graph, a: int, b: int) -> SuspectSet:
-    """Two suspects; param records their graph distance."""
+    """Two distinct suspects joined by a path in g."""
     if a == b:
         raise ValidationError("the two suspects must be distinct nodes")
-    d = len(shortest_path(g, a, b)) - 1
-    return SuspectSet([a, b], pattern="two", param=d)
+    shortest_path(g, a, b)  # rejects unknown nodes and disconnected pairs
+    return SuspectSet([a, b])
 
 
 @dataclass(frozen=True)

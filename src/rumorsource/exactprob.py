@@ -64,11 +64,6 @@ class DetectionResult:
 
     value: object
     method: str
-    scenario: str
-
-    @property
-    def as_float(self) -> float:
-        return float(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +109,7 @@ def pc_conditional(delta: int, m: int, n: int, exact=None):
 # ---------------------------------------------------------------------------
 # all suspects / connected suspects
 
-def _tail_sum(delta: int, n: int, mult, exact, scenario: str) -> DetectionResult:
+def _tail_sum(delta: int, n: int, mult, exact) -> DetectionResult:
     """1 - mult * single_subtree_tail, mult the source's mean number of
     suspect neighbors.  The tail has a closed form at degree 2 and 3 and is
     walked above; with mult = 0 nothing is walked."""
@@ -129,23 +124,22 @@ def _tail_sum(delta: int, n: int, mult, exact, scenario: str) -> DetectionResult
         if (n - 1) % 2:
             c *= (2 * m + 1) / (2 * m + 2)
         return DetectionResult(value=float(1 - Fraction(mult, 2) + mult * c / 2),
-                               method="closed-form", scenario=scenario)
+                               method="closed-form")
     elif delta == 2:
         tail = (1 - Fraction(math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))) / 2
     elif delta == 3:
         tail = Fraction(n // 2, 4 * (n // 2) + 2)
     else:
         return DetectionResult(value=1 - mult * single_subtree_tail(delta, n, use_exact),
-                               method="tail-sum", scenario=scenario)
+                               method="tail-sum")
     v = 1 - mult * tail
-    return DetectionResult(value=v if use_exact else float(v),
-                           method="closed-form", scenario=scenario)
+    return DetectionResult(value=v if use_exact else float(v), method="closed-form")
 
 
 def pc_all_suspects(delta: int, n: int, exact=None) -> DetectionResult:
     """P[MAP estimator names the source] when every infected node is suspect."""
     _check_delta_n(delta, n)
-    return _tail_sum(delta, n, delta, exact, "all-suspects")
+    return _tail_sum(delta, n, delta, exact)
 
 
 def pc_connected(delta: int, k: int, n: int, exact=None) -> DetectionResult:
@@ -159,7 +153,7 @@ def pc_connected(delta: int, k: int, n: int, exact=None) -> DetectionResult:
     _check_delta_n(delta, n)
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    return _tail_sum(delta, n, Fraction(2 * (k - 1), k), exact, "connected-k")
+    return _tail_sum(delta, n, Fraction(2 * (k - 1), k), exact)
 
 
 def pc_general_lower_bound(delta: int, k: int, n: int, exact=None) -> DetectionResult:
@@ -169,8 +163,7 @@ def pc_general_lower_bound(delta: int, k: int, n: int, exact=None) -> DetectionR
     case.
     """
     inner = pc_connected(delta, k, n, exact=exact)
-    return DetectionResult(value=inner.value, method="lower-bound",
-                           scenario="general-k-bound")
+    return DetectionResult(value=inner.value, method="lower-bound")
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +315,10 @@ def pc_two_suspects(delta: int, d: int, n: int, exact=None,
     if d >= n:
         # the far suspect needs d+1 infected path nodes, more than exist
         return DetectionResult(value=Fraction(1) if use_exact else 1.0,
-                               method="chain-enumeration", scenario="two-at-d")
+                               method="chain-enumeration")
     masses = _chain_masses(delta, n, d, use_exact, max_states, prune=True)
     return DetectionResult(value=1 - (masses.error + masses.tie / 2),
-                           method="chain-enumeration", scenario="two-at-d")
+                           method="chain-enumeration")
 
 
 def two_suspect_chain_audit(delta: int, d: int, n: int, exact=True,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,45 @@ import numpy as np
 from .errors import ValidationError
 from .estimator import (make_suspects_all, make_suspects_connected,
                         make_suspects_two, map_estimate)
-from .exactprob import (pc_all_suspects, pc_connected, pc_two_suspects,
-                        phi1, phi2, phi3)
+from .exactprob import (DEFAULT_STATE_BUDGET, DetectionResult,
+                        pc_all_suspects, pc_conditional, pc_connected,
+                        pc_general_lower_bound, pc_two_suspects, phi1, phi2,
+                        phi3)
 from .spread import BACKENDS, SpreadConfig, simulate_si
 from .topology import LazyRegularTree
 
-SCENARIOS = ("all-suspects", "connected-k", "two-at-d")
+# scenario -> (its parameter and least value, None if it takes none; its
+# suspects on a fresh lazy tree, None from the builder meaning every infected
+# node and no builder meaning exact-only; exact P_c(n) as (delta, n, param,
+# exact, max_states) -> DetectionResult; limit (delta, param), None if unknown)
+_Scenario = namedtuple("_Scenario", "param least suspects exact limit")
+_SCENARIOS = {
+    "all-suspects": _Scenario(
+        None, None, lambda g, _: None,
+        lambda delta, n, _, exact, __: pc_all_suspects(delta, n, exact),
+        lambda delta, _: phi1(delta)),
+    "connected-k": _Scenario(
+        "k", 1, lambda g, k: make_suspects_connected(g, 0, k),
+        lambda delta, n, k, exact, _: pc_connected(delta, k, n, exact), phi2),
+    "two-at-d": _Scenario(
+        "d", 1, lambda g, d: make_suspects_two(g, 0, g.path_from_origin(d)[-1]),
+        lambda delta, n, d, *arith: pc_two_suspects(delta, d, n, *arith),
+        lambda delta, d: phi3(delta) if d == 1 else None),
+    "general-k-bound": _Scenario(
+        "k", 1, None,
+        lambda delta, n, k, exact, _: pc_general_lower_bound(delta, k, n, exact),
+        None),
+    "conditional": _Scenario(
+        "m", 0, None, lambda delta, n, m, exact, _: DetectionResult(
+            pc_conditional(delta, m, n, exact), "tail-sum"), None),
+}
+
+# every scenario with an exact P_c; the Monte Carlo ones build suspects
+EXACT_SCENARIOS = tuple(_SCENARIOS)
+SCENARIOS = tuple(name for name, row in _SCENARIOS.items() if row.suspects)
+# large-n limit name -> (scenario, the parameters it fixes)
+LIMITS = {"phi1": ("all-suspects", {}), "phi2": ("connected-k", {}),
+          "phi3": ("two-at-d", {"d": 1})}
 
 # 97.5% normal quantile: 95% Wilson score intervals
 _Z95 = 1.959963984540054
@@ -54,6 +88,35 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     if successes == trials:
         hi = 1.0
     return (lo, hi)
+
+
+def scenario_param(scenario: str, k=None, d=None, m=None) -> int | None:
+    """The scenario's parameter out of k, d and m; rejects an unknown
+    scenario, its parameter missing or below its least value, and any other
+    parameter given."""
+    row = _SCENARIOS.get(scenario)
+    if row is None:
+        raise ValidationError(f"unknown scenario {scenario!r}; choose from {EXACT_SCENARIOS}")
+    given = {"k": k, "d": d, "m": m}
+    value = given.pop(row.param) if row.param else None
+    if row.param and (value is None or value < row.least):
+        raise ValidationError(f"{scenario} needs {row.param} >= {row.least}")
+    for name, other in given.items():
+        if other is not None:
+            raise ValidationError(f"{scenario} takes no {name}")
+    return value
+
+
+def scenario_exact(scenario: str, delta: int, n: int, param=None, exact=None,
+                   max_states: int = DEFAULT_STATE_BUDGET) -> DetectionResult:
+    """Exact P_c(n) of a scenario at its checked `scenario_param`."""
+    return _SCENARIOS[scenario].exact(delta, n, param, exact, max_states)
+
+
+def scenario_limit(scenario: str, delta: int, param=None) -> float | None:
+    """Large-n limit of a scenario's P_c, None where none is known."""
+    limit = _SCENARIOS[scenario].limit
+    return limit(delta, param) if limit else None
 
 
 def _check_run(n: int, trials: int, seed: int) -> None:
@@ -87,16 +150,7 @@ class ExperimentConfig:
         _check_run(self.n, self.trials, self.seed)
         if self.backend not in BACKENDS:
             raise ValidationError(f"unknown backend {self.backend!r}")
-        if self.scenario == "connected-k":
-            if self.k is None or self.k < 1:
-                raise ValidationError("connected-k needs k >= 1")
-        elif self.k is not None:
-            raise ValidationError("k applies only to connected-k")
-        if self.scenario == "two-at-d":
-            if self.d is None or self.d < 1:
-                raise ValidationError("two-at-d needs d >= 1")
-        elif self.d is not None:
-            raise ValidationError("d applies only to two-at-d")
+        scenario_param(self.scenario, k=self.k, d=self.d)
 
 
 @dataclass(frozen=True)
@@ -109,35 +163,6 @@ class ExperimentReport:
     exact_pc: float
     exact_method: str
     asymptotic_pc: float | None
-
-    # passthroughs so sweep consumers don't have to reach into config
-    @property
-    def scenario(self):
-        return self.config.scenario
-
-    @property
-    def delta(self):
-        return self.config.delta
-
-    @property
-    def n(self):
-        return self.config.n
-
-    @property
-    def k(self):
-        return self.config.k
-
-    @property
-    def d(self):
-        return self.config.d
-
-    @property
-    def trials(self):
-        return self.config.trials
-
-    @property
-    def seed(self):
-        return self.config.seed
 
     def to_dict(self) -> dict:
         cfg = self.config
@@ -178,14 +203,10 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> bool:
     """One independent trial; True when the estimator names the source."""
     draw_seed, sim_seed, tie_seed = _trial_streams(cfg.seed, trial)
     g = LazyRegularTree(cfg.delta)
-    suspects = None
-    if cfg.scenario == "all-suspects":
-        source = 0
-    else:
-        if cfg.scenario == "connected-k":
-            suspects = make_suspects_connected(g, 0, cfg.k)
-        else:
-            suspects = make_suspects_two(g, 0, g.path_from_origin(cfg.d)[-1])
+    row = _SCENARIOS[cfg.scenario]
+    suspects = row.suspects(g, row.param and getattr(cfg, row.param))
+    source = 0
+    if suspects is not None:
         members = sorted(suspects.members)
         source = members[random.Random(draw_seed).randrange(len(members))]
     snap = simulate_si(g, SpreadConfig(source=source, n=cfg.n, seed=sim_seed,
@@ -197,15 +218,9 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> bool:
 
 
 def _references(cfg: ExperimentConfig) -> tuple:
-    if cfg.scenario == "all-suspects":
-        res = pc_all_suspects(cfg.delta, cfg.n)
-        asym = phi1(cfg.delta) if cfg.delta >= 3 else None
-    elif cfg.scenario == "connected-k":
-        res = pc_connected(cfg.delta, cfg.k, cfg.n)
-        asym = phi2(cfg.delta, cfg.k) if cfg.delta >= 3 else None
-    else:
-        res = pc_two_suspects(cfg.delta, cfg.d, cfg.n)
-        asym = phi3(cfg.delta) if cfg.delta >= 3 and cfg.d == 1 else None
+    param = scenario_param(cfg.scenario, k=cfg.k, d=cfg.d)
+    res = scenario_exact(cfg.scenario, cfg.delta, cfg.n, param)
+    asym = scenario_limit(cfg.scenario, cfg.delta, param) if cfg.delta >= 3 else None
     return float(res.value), res.method, asym
 
 
@@ -229,13 +244,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # figure-style sweeps
 
-# figure -> (scenario, swept axis, default axis values, default degrees);
-# a figure with no axis runs its degrees once
+# figure -> (scenario, default values of its parameter, default degrees);
+# a scenario with no parameter runs its degrees once
 _FIG_DEFAULTS = {
-    "fig7": ("all-suspects", None, (None,), (2, 3, 4, 6, 8, 12, 16, 24, 36, 50)),
-    "fig8": ("connected-k", "k", (2, 5, 10), (2, 3, 4, 6, 8, 12, 16, 24)),
-    "fig9": ("two-at-d", "d", (1, 2), (2, 3, 4, 6, 8, 12, 16, 24)),
-    "fig10": ("connected-k", "k", (2, 4, 10, 20, 50, 100, 400, 1000, 4000), (4,)),
+    "fig7": ("all-suspects", (None,), (2, 3, 4, 6, 8, 12, 16, 24, 36, 50)),
+    "fig8": ("connected-k", (2, 5, 10), (2, 3, 4, 6, 8, 12, 16, 24)),
+    "fig9": ("two-at-d", (1, 2), (2, 3, 4, 6, 8, 12, 16, 24)),
+    "fig10": ("connected-k", (2, 4, 10, 20, 50, 100, 400, 1000, 4000), (4,)),
 }
 
 
@@ -254,16 +269,16 @@ def figure_sweep(figure: str, seed: int, n: int = 500, trials: int = 2000,
             f"unknown figure {figure!r}; choose from {sorted(_FIG_DEFAULTS)}"
         )
     _check_run(n, trials, seed)  # also when an axis is empty
-    scenario, axis, values, default_deltas = _FIG_DEFAULTS[figure]
+    scenario, values, default_deltas = _FIG_DEFAULTS[figure]
+    axis = _SCENARIOS[scenario].param
     override = {"k": ks, "d": ds}.get(axis)
     values = tuple(override) if override is not None else values
     deltas = tuple(deltas) if deltas is not None else default_deltas
     reports = []
     for v in values:
         for delta in deltas:
-            cfg = ExperimentConfig(scenario, delta, n, trials, seed,
-                                   k=v if axis == "k" else None,
-                                   d=v if axis == "d" else None)
+            param = {axis: v} if axis else {}
+            cfg = ExperimentConfig(scenario, delta, n, trials, seed, **param)
             reports.append(run_experiment(cfg))
     return reports
 

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rumorsource
-from rumorsource.cli import main
+from rumorsource.cli import build_parser, main
+from rumorsource.exactprob import (pc_all_suspects, pc_conditional,
+                                   pc_connected, pc_general_lower_bound,
+                                   pc_two_suspects)
+from rumorsource.harness import EXACT_SCENARIOS, LIMITS, SCENARIOS
 
 
 def run_cli(argv, capsys):
@@ -57,6 +63,69 @@ def test_exact_conditional_and_bound(capsys):
                             "--n", "25", "--k", "3", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["method"] == "lower-bound"
+
+
+# each exact scenario: its parameter flags and the direct exact call
+_EXACT_ROWS = {
+    "all-suspects": ([], lambda delta, n: pc_all_suspects(delta, n, True).value),
+    "connected-k": (["--k", "3"],
+                    lambda delta, n: pc_connected(delta, 3, n, True).value),
+    "two-at-d": (["--d", "2"],
+                 lambda delta, n: pc_two_suspects(delta, 2, n, True).value),
+    "general-k-bound": (["--k", "3"], lambda delta, n: pc_general_lower_bound(
+        delta, 3, n, True).value),
+    "conditional": (["--m", "1"],
+                    lambda delta, n: pc_conditional(delta, 1, n, True)),
+}
+
+
+@pytest.mark.parametrize("scenario", _EXACT_ROWS)
+def test_exact_json_rational_is_the_direct_fraction(scenario, capsys):
+    flags, direct = _EXACT_ROWS[scenario]
+    for delta in (2, 3, 4):
+        for n in (1, 2, 7, 30):
+            code, out, _ = run_cli(["exact", scenario, "--delta", str(delta),
+                                    "--n", str(n), "--format", "json", *flags],
+                                   capsys)
+            assert code == 0
+            doc = json.loads(out)
+            assert Fraction(doc["rational"]) == direct(delta, n), (scenario,
+                                                                 delta, n)
+            assert doc["value"] == float(direct(delta, n))
+            assert doc["m"] == (1 if scenario == "conditional" else None)
+
+
+def _choices(command, dest):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if a.dest == dest)
+    return tuple(action.choices)
+
+
+def test_scenario_choices_come_from_the_table():
+    assert _choices("exact", "scenario") == EXACT_SCENARIOS == tuple(_EXACT_ROWS)
+    assert _choices("experiment", "scenario") == SCENARIOS
+    assert _choices("asymptotic", "limit") == tuple(LIMITS) == ("phi1", "phi2",
+                                                                "phi3")
+    assert {scenario for scenario, _ in LIMITS.values()} == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "all-suspects", "--delta", "3", "--n", "4", "--k", "7", "--d", "9"],
+    ["exact", "all-suspects", "--delta", "3", "--n", "4", "--m", "1"],
+    ["exact", "connected-k", "--delta", "3", "--n", "4", "--k", "2", "--d", "1"],
+    ["exact", "two-at-d", "--delta", "3", "--n", "4", "--d", "1", "--m", "0"],
+    ["exact", "general-k-bound", "--delta", "3", "--n", "4", "--k", "2",
+     "--m", "1"],
+    ["exact", "conditional", "--delta", "3", "--n", "4", "--m", "1", "--k", "2"],
+    ["asymptotic", "phi1", "--delta", "3", "--k", "5"],
+    ["asymptotic", "phi3", "--delta", "3", "--k", "5"],
+], ids=["all-k-d", "all-m", "connected-d", "two-m", "bound-m", "conditional-k",
+        "phi1-k", "phi3-k"])
+def test_stray_parameter_exit_four(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 4 and out == ""
+    assert "takes no" in err and "Traceback" not in err
 
 
 def test_exact_missing_parameter_is_validation_error(capsys):

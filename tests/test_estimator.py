@@ -4,7 +4,7 @@ import pytest
 
 from rumorsource import centrality, estimator
 from rumorsource.centrality import centrality_all, local_rumor_center
-from rumorsource.errors import CapacityError, ValidationError
+from rumorsource.errors import CapacityError, NoPathError, ValidationError
 from rumorsource.estimator import (SuspectSet, make_suspects_all,
                                    make_suspects_connected, make_suspects_two,
                                    map_estimate)
@@ -23,8 +23,6 @@ def test_suspect_set_validation():
     SuspectSet(members=(1, 2, 3))
     with pytest.raises(ValidationError):
         SuspectSet(members=())
-    with pytest.raises(ValidationError):
-        SuspectSet(members=(1, 2), pattern="rhombus")
 
 
 def test_map_on_path_center_wins():
@@ -87,14 +85,12 @@ def test_make_suspects_all():
     snap = simulate_si(g, SpreadConfig(source=0, n=12, seed=4))
     s = make_suspects_all(snap)
     assert set(s.members) == set(snap.order)
-    assert s.pattern == "all"
 
 
 def test_make_suspects_connected():
     g = regular_tree(3, 3)
     s = make_suspects_connected(g, 0, 4)
     assert set(s.members) == {0, 1, 2, 3}
-    assert s.pattern == "connected" and s.param == 4
     s1 = make_suspects_connected(g, 5, 1)
     assert set(s1.members) == {5}
     with pytest.raises(CapacityError):
@@ -115,9 +111,14 @@ def test_make_suspects_two():
     p = g.path_from_origin(3)
     s = make_suspects_two(g, p[0], p[-1])
     assert set(s.members) == {p[0], p[-1]}
-    assert s.pattern == "two" and s.param == 3
     with pytest.raises(ValidationError):
         make_suspects_two(g, 0, 0)
+    # the pair must be two known nodes joined by a path
+    split = ExplicitGraph.from_edges([(0, 1), (2, 3)])
+    with pytest.raises(NoPathError):
+        make_suspects_two(split, 0, 3)
+    with pytest.raises(ValidationError):
+        make_suspects_two(split, 0, 99)
 
 
 def test_map_on_non_tree_uses_bfs_scores():

@@ -313,9 +313,7 @@ def test_chain_walk_leaves_no_cyclic_garbage():
 def test_two_suspects_methods():
     r = pc_two_suspects(3, 2, 10, exact=True)
     assert r.method == "chain-enumeration"
-    assert r.scenario == "two-at-d"
     assert isinstance(r.value, Fraction)
-    assert isinstance(r.as_float, float)
 
 
 def test_chain_audit_sums_to_one():

@@ -79,7 +79,7 @@ def test_run_experiment_reproducible():
     assert a.successes == b.successes
     assert a.empirical_pc == b.empirical_pc
     assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
-    assert a.trials == 60
+    assert a.config.trials == 60
     c = run_experiment(ExperimentConfig(scenario="all-suspects", delta=3,
                                         n=25, trials=60, seed=43))
     assert a.successes != c.successes or a.empirical_pc != c.empirical_pc
@@ -181,20 +181,22 @@ def test_figure_sweep_tiny():
     reps = figure_sweep("fig9", seed=11, n=20, trials=30, deltas=(3,), ds=(1, 2))
     assert len(reps) == 2
     assert all(isinstance(r, ExperimentReport) for r in reps)
-    assert [r.d for r in reps] == [1, 2]
-    assert all(r.scenario == "two-at-d" for r in reps)
+    assert [r.config.d for r in reps] == [1, 2]
+    assert all(r.config.scenario == "two-at-d" for r in reps)
     reps2 = figure_sweep("fig8", seed=11, n=16, trials=20, deltas=(3, 4),
                          ks=(2, 3))
     assert len(reps2) == 4
-    assert {(r.delta, r.k) for r in reps2} == {(3, 2), (3, 3), (4, 2), (4, 3)}
+    assert {(r.config.delta, r.config.k) for r in reps2} == {(3, 2), (3, 3),
+                                                            (4, 2), (4, 3)}
     with pytest.raises(ValidationError):
         figure_sweep("fig99", seed=1)
 
 
 def test_figure_sweep_fig10_varies_k():
     reps = figure_sweep("fig10", seed=4, n=18, trials=20, ks=(2, 4))
-    assert [r.k for r in reps] == [2, 4]
-    assert all(r.scenario == "connected-k" and r.delta == 4 for r in reps)
+    assert [r.config.k for r in reps] == [2, 4]
+    assert all(r.config.scenario == "connected-k" and r.config.delta == 4
+               for r in reps)
 
 
 @pytest.mark.parametrize("kwargs", [dict(trials=0), dict(n=0)],
