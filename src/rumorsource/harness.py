@@ -27,10 +27,10 @@ from .exactprob import (DEFAULT_STATE_BUDGET, DetectionResult,
 from .spread import BACKENDS, SpreadConfig, simulate_si
 from .topology import LazyRegularTree
 
-# scenario -> (its parameter and least value, None if it takes none; its
-# suspects on a fresh lazy tree, None from the builder meaning every infected
-# node and no builder meaning exact-only; exact P_c(n) as (delta, n, param,
-# exact, max_states) -> DetectionResult; limit (delta, param), None if unknown)
+# scenario -> row: its parameter and least value (None: it takes none);
+# suspects(g, param) on a fresh lazy tree (None: exact-only; a builder that
+# returns None means every infected node); exact(delta, n, param, exact,
+# max_states) -> DetectionResult; limit(delta, param) (None: none known)
 _Scenario = namedtuple("_Scenario", "param least suspects exact limit")
 _SCENARIOS = {
     "all-suspects": _Scenario(
@@ -107,13 +107,13 @@ def scenario_param(scenario: str, k=None, d=None, m=None) -> int | None:
     return value
 
 
-def scenario_exact(scenario: str, delta: int, n: int, param=None, exact=None,
+def scenario_exact(scenario: str, delta: int, n: int, param, exact=None,
                    max_states: int = DEFAULT_STATE_BUDGET) -> DetectionResult:
     """Exact P_c(n) of a scenario at its checked `scenario_param`."""
     return _SCENARIOS[scenario].exact(delta, n, param, exact, max_states)
 
 
-def scenario_limit(scenario: str, delta: int, param=None) -> float | None:
+def scenario_limit(scenario: str, delta: int, param) -> float | None:
     """Large-n limit of a scenario's P_c, None where none is known."""
     limit = _SCENARIOS[scenario].limit
     return limit(delta, param) if limit else None
