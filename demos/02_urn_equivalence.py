@@ -37,8 +37,9 @@ spec = rs.PolyaSpec(initial=(1,) * DELTA, increment=DELTA - 2, draws=N - 1)
 print(f"\npolya_joint agrees: {rs.polya_joint(spec, (3, 1, 1))} "
       f"== {rs.tree_split_joint(DELTA, (3, 1, 1), N)}")
 
-# One subtree's share of the infection converges to a Beta-flavored law.
-# F(1/2) is the chance the subtree stays in the minority.
+# One subtree's share of the infection converges to Beta(a, 1+a) with
+# a = 1/(delta-2).  Its F(1/2), the chance the subtree stays in the
+# minority, has a closed form in the gamma function.
 print("\nconvergence of P[first subtree <= n/2] to the limit CDF:")
 print(f"{'delta':>6} {'n=10':>8} {'n=100':>8} {'n=1000':>8} {'limit':>8}")
 # tree_split_marginal_pmf is the same law as tree_split_marginal at every
@@ -46,7 +47,7 @@ print(f"{'delta':>6} {'n=10':>8} {'n=100':>8} {'n=1000':>8} {'limit':>8}")
 for delta in (3, 4, 6):
     row = [float(tree_split_marginal_pmf(delta, n)[:n // 2 + 1].sum())
            for n in (10, 100, 1000)]
-    lim = rs.limit_split_cdf(delta, 0.5)
+    lim = rs.limit_split_half(delta)
     print(f"{delta:>6} {row[0]:>8.4f} {row[1]:>8.4f} {row[2]:>8.4f} "
           f"{lim:>8.4f}")
 

@@ -14,13 +14,11 @@ from .spread import (SpreadConfig, simulate_si, snapshot_from_dict,
                      snapshot_from_json, snapshot_to_dict, snapshot_to_json)
 from .centrality import (CentralityReport, LocalCenterVerdict,
                          bfs_heuristic_centrality, centrality_all,
-                         compare_centrality, local_rumor_center,
-                         log_rumor_centrality, rumor_centrality,
-                         subtree_counts)
+                         local_rumor_center, rumor_centrality, subtree_counts)
 from .estimator import (Estimate, SuspectSet, make_suspects_all,
                         make_suspects_connected, make_suspects_two,
                         map_estimate)
-from .urn import (PolyaSpec, chain_step_pmf, incomplete_beta, limit_split_cdf,
+from .urn import (PolyaSpec, chain_step_pmf, limit_split_half,
                   path_chain_joint, polya_joint, tree_split_joint,
                   tree_split_marginal)
 from .exactprob import (ChainMasses, DetectionResult,
@@ -44,11 +42,10 @@ __all__ = [
     "SpreadConfig", "simulate_si", "snapshot_from_dict", "snapshot_from_json",
     "snapshot_to_dict", "snapshot_to_json", "subtree_counts",
     "CentralityReport", "LocalCenterVerdict", "bfs_heuristic_centrality",
-    "centrality_all", "compare_centrality", "local_rumor_center",
-    "log_rumor_centrality", "rumor_centrality",
+    "centrality_all", "local_rumor_center", "rumor_centrality",
     "Estimate", "SuspectSet", "make_suspects_all", "make_suspects_connected",
     "make_suspects_two", "map_estimate",
-    "PolyaSpec", "chain_step_pmf", "incomplete_beta", "limit_split_cdf",
+    "PolyaSpec", "chain_step_pmf", "limit_split_half",
     "path_chain_joint", "polya_joint", "tree_split_joint", "tree_split_marginal",
     "ChainMasses", "DetectionResult", "audit_two_suspect_closed_form",
     "line_two_suspect_expression", "pc_all_suspects", "pc_conditional",

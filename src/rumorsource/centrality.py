@@ -101,20 +101,13 @@ def rumor_centrality(snap: Snapshot, root: int) -> int:
     return _root_count(snap.n, size) * num // den
 
 
-def log_rumor_centrality(snap: Snapshot, root: int) -> float:
-    """Natural log of rumor_centrality (math.log handles the big integers)."""
-    r = rumor_centrality(snap, root)
-    return math.log(r)
-
-
 @dataclass
 class CentralityReport:
-    """Per-node exact counts, their logs, and subtree sizes w.r.t. `root`."""
+    """Per-node exact counts and subtree sizes w.r.t. `root`."""
 
     root: int
     n: int
     exact: dict[int, int]
-    log: dict[int, float]
     subtree_size: dict[int, int]
 
     def argmax_set(self) -> list[int]:
@@ -138,22 +131,7 @@ def centrality_all(snap: Snapshot) -> CentralityReport:
             continue
         p = snap.parent_of[u]
         exact[u] = exact[p] * size[u] // (n - size[u])
-    logs = {u: math.log(r) if r > 0 else -math.inf for u, r in exact.items()}
-    return CentralityReport(root=root, n=n, exact=exact, log=logs,
-                            subtree_size=size)
-
-
-def compare_centrality(snap: Snapshot, u: int, v: int) -> int:
-    """Exact ordering of centralities: -1 if R(u) < R(v), 0 if equal, 1 if greater.
-
-    Uses the telescoped ratio along the u-v path, so only path-node subtree
-    sizes enter; no factorials are formed.
-    """
-    _require_tree(snap, u, v)
-    num, den = _path_ratio(snap, _subtree_sizes(snap), _ancestors(snap, u), v)
-    if num == den:
-        return 0
-    return 1 if den > num else -1
+    return CentralityReport(root=root, n=n, exact=exact, subtree_size=size)
 
 
 def _tree_argmax(snap: Snapshot, candidates: list[int]) -> tuple:

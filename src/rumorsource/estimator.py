@@ -13,7 +13,7 @@ explicit tie seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import CapacityError, ValidationError
 from .topology import Graph, Snapshot, _bfs_layers, shortest_path
@@ -30,12 +30,6 @@ class SuspectSet:
         object.__setattr__(self, "members", frozenset(self.members))
         if not self.members:
             raise ValidationError("suspect set cannot be empty")
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
 
 
 def make_suspects_all(snap: Snapshot) -> SuspectSet:
@@ -75,12 +69,7 @@ class Estimate:
     tie_broken: bool
 
     def to_dict(self) -> dict:
-        return {
-            "chosen": self.chosen,
-            "argmax_set": list(self.argmax_set),
-            "method": self.method,
-            "tie_broken": self.tie_broken,
-        }
+        return asdict(self) | {"argmax_set": list(self.argmax_set)}
 
 
 def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Estimate:

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import BudgetError, ValidationError
-from .urn import (_check_delta_n, _inv_table, limit_split_cdf, rising_product,
+from .urn import (_check_delta_n, _inv_table, limit_split_half, rising_product,
                   split_step, tree_split_marginal_pmf)
 
 # exact=None means Fractions up to this many infected nodes, floats beyond.
@@ -410,7 +410,7 @@ def audit_two_suspect_closed_form(n: int, d: int) -> dict:
 
 def _limit(delta: int, mult) -> float:
     """Large-n form of 1 - mult * tail: the leading subtree share > 1/2."""
-    return 1.0 - mult * (1.0 - limit_split_cdf(delta, 0.5))
+    return 1.0 - mult * (1.0 - limit_split_half(delta))
 
 
 def phi1(delta: int) -> float:
@@ -427,4 +427,4 @@ def phi2(delta: int, k: int) -> float:
 
 def phi3(delta: int) -> float:
     """Limit of the two-suspect detection probability at distance 1."""
-    return limit_split_cdf(delta, 0.5)
+    return limit_split_half(delta)

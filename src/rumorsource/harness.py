@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -165,24 +165,10 @@ class ExperimentReport:
     asymptotic_pc: float | None
 
     def to_dict(self) -> dict:
-        cfg = self.config
-        return {
-            "scenario": cfg.scenario,
-            "delta": cfg.delta,
-            "n": cfg.n,
-            "k": cfg.k,
-            "d": cfg.d,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "backend": cfg.backend,
-            "successes": self.successes,
-            "empirical_pc": self.empirical_pc,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "exact_pc": self.exact_pc,
-            "exact_method": self.exact_method,
-            "asymptotic_pc": self.asymptotic_pc,
-        }
+        """The config's fields in CSV order, the backend, then the results."""
+        doc = {name: getattr(self.config, name) for name in (
+            "scenario", "delta", "n", "k", "d", "trials", "seed", "backend")}
+        return doc | {f.name: getattr(self, f.name) for f in fields(self)[1:]}
 
     def csv_row(self) -> list[str]:
         d = self.to_dict()
@@ -260,8 +246,9 @@ def figure_sweep(figure: str, seed: int, n: int = 500, trials: int = 2000,
 
     fig7: all suspects vs degree.  fig8: connected suspects vs degree, one
     curve per k.  fig9: two suspects vs degree, one curve per distance.
-    fig10: connected suspects vs k at fixed degree.  Override any axis with
-    the keyword arguments; an axis the figure does not sweep is ignored.
+    fig10: connected suspects vs k at fixed degree.  Override the degrees
+    and the figure's own axis with the keyword arguments; `ks` or `ds` for
+    a figure that does not sweep it, even an empty one, is rejected.
     Reports run axis value outer, degree inner.
     """
     if figure not in _FIG_DEFAULTS:
@@ -271,7 +258,11 @@ def figure_sweep(figure: str, seed: int, n: int = 500, trials: int = 2000,
     _check_run(n, trials, seed)  # also when an axis is empty
     scenario, values, default_deltas = _FIG_DEFAULTS[figure]
     axis = _SCENARIOS[scenario].param
-    override = {"k": ks, "d": ds}.get(axis)
+    overrides = {"k": ks, "d": ds}
+    for name, given in overrides.items():
+        if given is not None and name != axis:
+            raise ValidationError(f"{figure} sweeps {scenario}, which takes no {name}")
+    override = overrides.get(axis)
     values = tuple(override) if override is not None else values
     deltas = tuple(deltas) if deltas is not None else default_deltas
     reports = []

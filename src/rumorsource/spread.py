@@ -22,8 +22,7 @@ import numpy as np
 
 from . import topology
 from .errors import BackendError, CapacityError, ValidationError
-from .topology import (ExplicitGraph, Graph, LazyRegularTree, Snapshot,
-                       bfs_tree)
+from .topology import ExplicitGraph, Graph, LazyRegularTree, Snapshot
 
 BACKENDS = ("uniform-boundary", "exponential-clocks")
 
@@ -54,8 +53,7 @@ def simulate_si(g: Graph, cfg: SpreadConfig) -> Snapshot:
         raise ValidationError(f"source {cfg.source} not in graph")
     rng = np.random.default_rng(cfg.seed)
     if cfg.backend == "uniform-boundary":
-        if (isinstance(g, ExplicitGraph)
-                and not bfs_tree(g, cfg.source).is_host_tree()):
+        if isinstance(g, ExplicitGraph) and not g.component_is_tree(cfg.source):
             raise BackendError(
                 "uniform-boundary backend needs a tree; use exponential-clocks"
             )

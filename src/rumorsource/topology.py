@@ -10,7 +10,8 @@ always the origin.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapacityError, NoPathError, ParseError, ValidationError
 
@@ -30,10 +31,15 @@ class Graph:
 
 
 class ExplicitGraph(Graph):
-    """Finite undirected graph held as an adjacency map."""
+    """Finite undirected graph held as an adjacency map.
+
+    The graph has no mutators, so `component_is_tree` caches its verdict for
+    every node of a component it has checked; the cache cannot go stale.
+    """
 
     def __init__(self, adjacency: dict[int, list[int] | set[int]]):
         self._adj = {u: sorted(vs) for u, vs in adjacency.items()}
+        self._tree_verdict: dict[int, bool] = {}
 
     @classmethod
     def from_edges(cls, edges) -> "ExplicitGraph":
@@ -56,16 +62,17 @@ class ExplicitGraph(Graph):
         except KeyError:
             raise ValidationError(f"node {u} not in graph") from None
 
-    def nodes(self) -> list[int]:
-        return sorted(self._adj)
+    def component_is_tree(self, u: int) -> bool:
+        """Whether u's connected component is a tree: one BFS and one
+        `Snapshot.is_host_tree` per component, then a cached lookup."""
+        if u not in self._tree_verdict:
+            snap = bfs_tree(self, u)
+            self._tree_verdict.update(dict.fromkeys(snap.order, snap.is_host_tree()))
+        return self._tree_verdict[u]
 
     @property
     def num_nodes(self) -> int:
         return len(self._adj)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(v) for v in self._adj.values()) // 2
 
 
 class LazyRegularTree(Graph):
@@ -229,17 +236,14 @@ class Snapshot:
     order: list[int]
     parent_of: dict[int, int | None]
     host: Graph | None = None
-    _node_set: frozenset = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.order)
 
-    @property
+    @cached_property
     def nodes(self) -> frozenset:
-        if self._node_set is None:
-            self._node_set = frozenset(self.order)
-        return self._node_set
+        return frozenset(self.order)
 
     def __contains__(self, u: int) -> bool:
         return u in self.nodes

@@ -10,8 +10,9 @@ matter here: one ball per source-neighbor subtree with eps = delta-2 (the
 joint subtree split), and the (1, delta-1) two-color collapse (one subtree
 against the rest).  Each law is stated once, here: `polya_joint` is the
 exact oracle, `split_step` the root step ratio and `_inv_table` the step
-law below the root.  The urn oracles return exact Fractions at every size;
-large-n float callers sum `tree_split_marginal_pmf` instead.
+law below the root, and `limit_split_half` the large-n limit of the split.
+The urn oracles return exact Fractions at every size; large-n float callers
+sum `tree_split_marginal_pmf` instead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ValidationError
 
@@ -139,25 +139,20 @@ def tree_split_marginal_pmf(delta: int, n: int) -> np.ndarray:
     return p / p.sum()
 
 
-def incomplete_beta(x: float, alpha: float, beta: float) -> float:
-    """Regularized incomplete beta I_x(alpha, beta)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"x must lie in [0, 1], got {x}")
-    if alpha <= 0 or beta <= 0:
-        raise ValidationError(f"shape parameters must be positive, got {alpha}, {beta}")
-    return float(betainc(alpha, beta, x))
+def limit_split_half(delta: int) -> float:
+    """Large-n limit of P(one subtree holds at most half of the infection).
 
-
-def limit_split_cdf(delta: int, x: float) -> float:
-    """Limiting CDF of (leading subtree size)/n: I_x(1/(delta-2), (delta-1)/(delta-2)).
-
-    Needs delta >= 3; at delta = 2 the normalized size converges to a point
+    The subtree's share tends to Beta(a, 1+a), a = 1/(delta-2), and its CDF
+    at 1/2 has a closed form: I_{1/2}(a, a) = 1/2 and I_x(a, b+1) =
+    I_x(a, b) + x^a (1-x)^b / (b B(a, b)) give 1/2 + 4^-a G(2a) / (a G(a)^2)
+    with G the gamma function.  delta = 3 gives 3/4, delta = 4 gives
+    1/2 + 1/pi.  Needs delta >= 3: at delta = 2 the share tends to a point
     mass and no continuous limit exists.
     """
     if delta < 3:
         raise ValidationError("limiting split law needs degree >= 3")
-    e = delta - 2
-    return incomplete_beta(x, 1.0 / e, (delta - 1.0) / e)
+    a = 1.0 / (delta - 2)
+    return 0.5 + 4.0 ** -a * math.gamma(2 * a) / (a * math.gamma(a) ** 2)
 
 
 def chain_step_pmf(delta: int, parent_count: int, child_count: int) -> Fraction:

@@ -6,15 +6,14 @@ the factorial/subtree formula is tested against something that knows
 nothing about subtree sizes.
 """
 
-import math
 import random
 
 import pytest
 
 from oracles import count_orderings, random_tree_adj, snap_from_adj
-from rumorsource.centrality import (bfs_heuristic_centrality, centrality_all,
-                                    compare_centrality, local_rumor_center,
-                                    log_rumor_centrality, rumor_centrality)
+from rumorsource.centrality import (_ancestors, _path_ratio, _subtree_sizes,
+                                    bfs_heuristic_centrality, centrality_all,
+                                    local_rumor_center, rumor_centrality)
 from rumorsource.errors import ValidationError
 from rumorsource.topology import ExplicitGraph, bfs_tree
 
@@ -52,14 +51,6 @@ def test_single_and_pair():
     assert rumor_centrality(lone, 0) == 1
 
 
-def test_log_accessor():
-    rng = random.Random(5)
-    adj = random_tree_adj(30, rng)
-    snap = snap_from_adj(adj, 0)
-    r = rumor_centrality(snap, 0)
-    assert log_rumor_centrality(snap, 0) == pytest.approx(math.log(r))
-
-
 def test_all_matches_per_root():
     rng = random.Random(99)
     for _ in range(25):
@@ -70,7 +61,6 @@ def test_all_matches_per_root():
         for u in snap.order:
             direct = rumor_centrality(snap, u)
             assert rep.exact[u] == direct
-            assert rep.log[u] == pytest.approx(math.log(direct))
         assert rep.n == n
         # argmax set really is the max
         best = max(rep.exact.values())
@@ -93,7 +83,13 @@ def test_neighbor_ratio_identity():
             assert rep.exact[child] * (n - sz) == rep.exact[parent] * sz
 
 
-def test_compare_centrality_sign():
+def _ratio_sign(snap, u, v):
+    """Sign of R(u) - R(v) from the path ratio R(v)/R(u) the estimator uses."""
+    num, den = _path_ratio(snap, _subtree_sizes(snap), _ancestors(snap, u), v)
+    return (den > num) - (den < num)
+
+
+def test_path_ratio_sign():
     rng = random.Random(23)
     for _ in range(12):
         n = rng.randrange(2, 13)
@@ -105,15 +101,15 @@ def test_compare_centrality_sign():
                 if u == v:
                     continue
                 want = (rep.exact[u] > rep.exact[v]) - (rep.exact[u] < rep.exact[v])
-                assert compare_centrality(snap, u, v) == want
+                assert _ratio_sign(snap, u, v) == want
 
 
-def test_compare_centrality_tie_on_path():
+def test_path_ratio_tie_on_path():
     g = ExplicitGraph.from_edges([(0, 1), (1, 2), (2, 3)])
     snap = bfs_tree(g, 0)
-    assert compare_centrality(snap, 1, 2) == 0
-    assert compare_centrality(snap, 1, 0) == 1
-    assert compare_centrality(snap, 0, 2) == -1
+    assert _ratio_sign(snap, 1, 2) == 0
+    assert _ratio_sign(snap, 1, 0) == 1
+    assert _ratio_sign(snap, 0, 2) == -1
 
 
 def test_local_center_path_of_four():

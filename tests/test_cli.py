@@ -492,6 +492,16 @@ def test_negative_seed_exit_four(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("axis", [["--ks", "9"], ["--ks="], ["--ds", "1"]],
+                         ids=["ks", "empty-ks", "ds"])
+def test_figure_stray_axis_exit_four(capsys, axis):
+    code, out, err = run_cli(["figure", "--figure", "fig7", "--seed", "1",
+                              "--n", "5", "--trials", "2", "--deltas", "3",
+                              *axis], capsys)
+    assert code == 4 and out == ""
+    assert "takes no" in err and "Traceback" not in err
+
+
 def test_figure_tiny_sweep(capsys):
     code, out, _ = run_cli(["figure", "--figure", "fig9", "--seed", "3",
                             "--n", "14", "--trials", "20", "--deltas", "3",

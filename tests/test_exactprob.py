@@ -168,19 +168,25 @@ def test_degree_two_float_closed_form_above_cutoff(n):
         assert abs(Fraction(fl.value) - ex.value) <= 1e-14 * ex.value
 
 
-def test_degree_two_float_closed_form_imports_no_scipy_stats():
-    # the series needs only the stdlib; scipy.stats takes about a second to import
+def test_package_imports_no_scipy():
+    # the limits are closed forms in math.gamma and the delta = 2 float term a
+    # stdlib series; scipy.special alone took most of the package import
     pkg_root = str(Path(rumorsource.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [pkg_root, os.environ.get("PYTHONPATH")])))
-    code = ("import sys\n"
-            "from rumorsource.exactprob import pc_all_suspects\n"
-            "pc_all_suspects(2, 10**7, exact=False)\n"
-            "print('scipy.stats' in sys.modules)")
+    code = ("import contextlib, io, sys\n"
+            "import rumorsource as rs\n"
+            "from rumorsource import cli\n"
+            "rs.phi1(4), rs.phi2(4, 5), rs.phi3(12)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['asymptotic', 'phi1', '--delta', '4']) == 0\n"
+            "rs.pc_all_suspects(2, 10**7, exact=False)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [1000, 1100, 2000])

@@ -199,6 +199,15 @@ def test_figure_sweep_fig10_varies_k():
                for r in reps)
 
 
+@pytest.mark.parametrize("figure,axis", [
+    ("fig7", dict(ks=(9,))), ("fig7", dict(ds=())), ("fig8", dict(ds=(1,))),
+    ("fig9", dict(ks=(2,))), ("fig10", dict(ds=[])),
+])
+def test_figure_sweep_rejects_an_axis_it_does_not_sweep(figure, axis):
+    with pytest.raises(ValidationError, match="takes no"):
+        figure_sweep(figure, seed=1, n=5, trials=2, deltas=(3,), **axis)
+
+
 @pytest.mark.parametrize("kwargs", [dict(trials=0), dict(n=0)],
                          ids=["trials", "n"])
 def test_figure_sweep_checks_run_before_an_empty_axis(kwargs):

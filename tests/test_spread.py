@@ -95,6 +95,28 @@ def test_uniform_boundary_rejects_cycles():
                                     backend="uniform-boundary"))
 
 
+def test_tree_check_runs_once_per_component(monkeypatch):
+    calls = []
+    check = topology.Snapshot.is_host_tree
+    monkeypatch.setattr(topology.Snapshot, "is_host_tree",
+                        lambda snap: calls.append(snap.root) or check(snap))
+    # a path 0-1-2-3 and a triangle 10-11-12 with a tail 12-13
+    g = ExplicitGraph.from_edges([(0, 1), (1, 2), (2, 3), (10, 11), (11, 12),
+                                  (12, 10), (12, 13)])
+
+    def spread(source):
+        return simulate_si(g, SpreadConfig(source=source, n=3, seed=1,
+                                           backend="uniform-boundary"))
+
+    assert spread(0).n == 3
+    assert spread(2).n == 3  # same component: the verdict is reused
+    assert calls == [0]
+    for source in (13, 10, 13):  # the cyclic component raises every time
+        with pytest.raises(BackendError):
+            spread(source)
+    assert calls == [0, 13]  # its own verdict, found once
+
+
 def test_clocks_backend_handles_cycles():
     g = ExplicitGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
     snap = simulate_si(g, SpreadConfig(source=0, n=4, seed=3,

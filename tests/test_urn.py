@@ -16,11 +16,10 @@ import pytest
 from oracles import enumerate_draws
 from rumorsource.errors import ValidationError
 from rumorsource.exactprob import EXACT_DEFAULT_LIMIT, pc_all_suspects
-from rumorsource.urn import (PolyaSpec, chain_step_pmf, incomplete_beta,
-                             limit_split_cdf, path_chain_joint, polya_joint,
-                             rising_product, split_step, tree_split_joint,
-                             tree_split_marginal, tree_split_marginal_pmf,
-                             tree_split_spec)
+from rumorsource.urn import (PolyaSpec, chain_step_pmf, limit_split_half,
+                             path_chain_joint, polya_joint, rising_product,
+                             split_step, tree_split_joint, tree_split_marginal,
+                             tree_split_marginal_pmf, tree_split_spec)
 
 
 ORACLE_SPECS = [
@@ -237,39 +236,24 @@ def test_path_chain_joint():
         path_chain_joint(3, n, (2, 0))
 
 
-def test_incomplete_beta_values():
-    assert incomplete_beta(0.5, 1.0, 2.0) == 0.75
-    assert incomplete_beta(0.0, 2.0, 3.0) == 0.0
-    assert incomplete_beta(1.0, 2.0, 3.0) == 1.0
-    # arcsine-law value at one half
-    got = incomplete_beta(0.5, 0.5, 1.5)
-    assert abs(got - (0.5 + 1.0 / math.pi)) < 1e-12
-    # I_x(1, b) has an elementary form
-    for b in (1.0, 2.5, 7.0):
-        for x in (0.1, 0.4, 0.9):
-            assert incomplete_beta(x, 1.0, b) == pytest.approx(1 - (1 - x) ** b)
-    # symmetry
-    assert incomplete_beta(0.3, 2.0, 5.0) == \
-        pytest.approx(1 - incomplete_beta(0.7, 5.0, 2.0))
-
-
-def test_incomplete_beta_validation():
-    with pytest.raises(ValidationError):
-        incomplete_beta(-0.1, 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        incomplete_beta(1.1, 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        incomplete_beta(0.5, 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        incomplete_beta(0.5, 1.0, -2.0)
+def test_limit_split_half_values():
+    # delta = 4: the arcsine-law value I_{1/2}(1/2, 3/2) = 1/2 + 1/pi
+    want = 0.5 + 1.0 / math.pi
+    assert abs(limit_split_half(4) - want) <= 2 * math.ulp(want)
+    # I_{1/2}(a, 1+a), a = 1/(delta-2), from mpmath at 40 digits
+    for delta, want in ((6, 0.88137988175090659), (12, 0.94157569494468432),
+                        (50, 0.98610267373204517)):
+        assert limit_split_half(delta) == pytest.approx(want, rel=1e-15, abs=0)
+    values = [limit_split_half(delta) for delta in range(3, 201)]
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert limit_split_half(10 ** 6) < 1.0
 
 
 def test_limit_split_cdf_degree_three():
-    # limiting first-branch fraction is Beta(1, 2)
-    assert limit_split_cdf(3, 0.5) == 0.75
-    assert limit_split_cdf(3, 0.0) == 0.0
+    # limiting first-branch fraction is Beta(1, 2): F(1/2) = 3/4 exactly
+    assert limit_split_half(3) == 0.75
     with pytest.raises(ValidationError):
-        limit_split_cdf(2, 0.5)
+        limit_split_half(2)
 
 
 def test_finite_split_converges_to_beta_limit():
@@ -278,7 +262,7 @@ def test_finite_split_converges_to_beta_limit():
     n = 10 ** 4
     for delta in (3, 4, 6):
         f_n = float(tree_split_marginal_pmf(delta, n)[:n // 2 + 1].sum())
-        lim = limit_split_cdf(delta, 0.5)
+        lim = limit_split_half(delta)
         assert abs(f_n - lim) < 0.01, (delta, f_n, lim)
 
 
