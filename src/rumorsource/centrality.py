@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .topology import Graph, LazyRegularTree, Snapshot, bfs_tree
+from .topology import Graph, Snapshot, bfs_tree
 
 
 def _require_tree(snap: Snapshot, *nodes: int) -> None:
@@ -223,10 +223,8 @@ def subtree_counts(snap: Snapshot, root: int) -> list[int]:
     _require_tree(snap, root)
     branch = _branch_sizes(snap, _subtree_sizes(snap), root)
     neigh = set(branch)
-    if isinstance(snap.host, LazyRegularTree):
+    if snap.host is not None:
         neigh.update(snap.host.known_neighbors(root))
-    elif snap.host is not None:
-        neigh.update(snap.host.neighbors(root))
     return [branch.get(v, 0) for v in sorted(neigh)]
 
 

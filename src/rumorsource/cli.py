@@ -15,10 +15,10 @@ import sys
 from .errors import BudgetError, CapacityError, ValidationError
 from .estimator import SuspectSet, map_estimate
 from .exactprob import DEFAULT_STATE_BUDGET
-from .harness import (EXACT_SCENARIOS, LIMITS, SCENARIOS, ExperimentConfig,
-                      figure_sweep, reports_to_csv, run_experiment,
-                      scenario_exact, scenario_limit, scenario_param)
-from .spread import (SpreadConfig, simulate_si, snapshot_from_json,
+from .harness import (EXACT_SCENARIOS, FIGURES, LIMITS, SCENARIOS, ExperimentConfig,
+                      figure_sweep, reports_to_csv, run_experiment, scenario_exact,
+                      scenario_limit, scenario_param)
+from .spread import (BACKENDS, SpreadConfig, simulate_si, snapshot_from_json,
                      snapshot_to_json)
 from .topology import LazyRegularTree, load_edge_list
 
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, help="source node (default 0 on trees)")
     p.add_argument("--n", type=int, required=True, help="infections to draw")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--backend", choices=["uniform-boundary", "exponential-clocks"])
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_simulate)
 
@@ -197,14 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--backend", choices=["uniform-boundary", "exponential-clocks"])
+    p.add_argument("--backend", choices=BACKENDS)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("figure", help="sweeps behind the standard plots")
-    p.add_argument("--figure", required=True,
-                   choices=["fig7", "fig8", "fig9", "fig10"])
+    p.add_argument("--figure", required=True, choices=FIGURES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--trials", type=int, default=2000)

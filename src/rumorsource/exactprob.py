@@ -16,7 +16,7 @@ every exact engine here:
   mass of an exact half split).  Detection fails through a suspect
   neighbor exactly when its subtree does that, so P_c = 1 - mu * tail,
   where mu, the source's mean number of suspect neighbors, is delta when
-  all nodes are suspects and 2(k-1)/k for k connected suspects.
+  all nodes are suspects, 2(k-1)/k for k connected suspects and m given m.
 * the survival bound for deep suspect pairs is the error mass of the
   pruned walk at d = depth.
 
@@ -35,7 +35,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 from .errors import BudgetError, ValidationError
@@ -69,10 +68,8 @@ class DetectionResult:
 # ---------------------------------------------------------------------------
 # single-subtree tail
 
-@lru_cache(maxsize=8192)
 def _tail_exact(delta: int, n: int) -> Fraction:
-    """Fraction form of single_subtree_tail: the d = 1 chain walk, which no
-    state budget bounds.  Cached since sweeps reuse it."""
+    """Fraction form of single_subtree_tail: the d = 1 walk, unbudgeted."""
     m = _chain_masses(delta, n, 1, True, math.inf, prune=True)
     return m.error + m.tie / 2
 
@@ -94,20 +91,8 @@ def single_subtree_tail(delta: int, n: int, exact=None):
     return _tail_float(delta, n)
 
 
-def pc_conditional(delta: int, m: int, n: int, exact=None):
-    """Detection probability given the source has exactly m suspect neighbors.
-
-    Errors escape through each of the m neighbors with the single-subtree
-    tail mass, and those events are disjoint, so P = 1 - m * tail.
-    """
-    _check_delta_n(delta, n)
-    if not 0 <= m <= delta:
-        raise ValidationError(f"m must lie in [0, {delta}], got {m}")
-    return 1 - m * single_subtree_tail(delta, n, exact=exact)
-
-
 # ---------------------------------------------------------------------------
-# all suspects / connected suspects
+# tail sums: conditional, all suspects, connected suspects
 
 def _tail_sum(delta: int, n: int, mult, exact) -> DetectionResult:
     """1 - mult * single_subtree_tail, mult the source's mean number of
@@ -126,7 +111,7 @@ def _tail_sum(delta: int, n: int, mult, exact) -> DetectionResult:
         return DetectionResult(value=float(1 - Fraction(mult, 2) + mult * c / 2),
                                method="closed-form")
     elif delta == 2:
-        tail = (1 - Fraction(math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1))) / 2
+        tail = _binomial_window(n, (n - 1) // 2, (n - 1) // 2)
     elif delta == 3:
         tail = Fraction(n // 2, 4 * (n // 2) + 2)
     else:
@@ -134,6 +119,18 @@ def _tail_sum(delta: int, n: int, mult, exact) -> DetectionResult:
                                method="tail-sum")
     v = 1 - mult * tail
     return DetectionResult(value=v if use_exact else float(v), method="closed-form")
+
+
+def pc_conditional(delta: int, m: int, n: int, exact=None) -> DetectionResult:
+    """Detection probability given the source has exactly m suspect neighbors.
+
+    Errors escape through each of the m neighbors with the single-subtree
+    tail mass, and those events are disjoint, so P = 1 - m * tail.
+    """
+    _check_delta_n(delta, n)
+    if not 0 <= m <= delta:
+        raise ValidationError(f"m must lie in [0, {delta}], got {m}")
+    return _tail_sum(delta, n, m, exact)
 
 
 def pc_all_suspects(delta: int, n: int, exact=None) -> DetectionResult:
@@ -204,6 +201,13 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
     sums are scaled once by U = R(z_1) E / I[z_1 - 1].  Floats take
     D = E = T = 1.  At delta = 2 (eps = 0) the root count fixes the chain.
     """
+    _check_delta_n(delta, n)
+    if d < 1:
+        raise ValidationError(f"suspect distance must be >= 1, got {d}")
+    if prune and d >= n:
+        # the far suspect needs d+1 infected path nodes, more than exist
+        zero = Fraction(0) if use_exact else 0.0
+        return ChainMasses(error=zero, tie=zero, success=zero, states=0)
     N, eps = n - 1, delta - 2
     walks = eps > 0 and d > 1
     I = _inv_table(eps, max(N - 1, 0), use_exact) if walks else [1]
@@ -308,15 +312,8 @@ def pc_two_suspects(delta: int, d: int, n: int, exact=None,
     trusted here).  Distance at least n means the second suspect cannot be
     infected, so detection is sure.
     """
-    _check_delta_n(delta, n)
-    if d < 1:
-        raise ValidationError(f"suspect distance must be >= 1, got {d}")
-    use_exact = _resolve_exact(exact, n)
-    if d >= n:
-        # the far suspect needs d+1 infected path nodes, more than exist
-        return DetectionResult(value=Fraction(1) if use_exact else 1.0,
-                               method="chain-enumeration")
-    masses = _chain_masses(delta, n, d, use_exact, max_states, prune=True)
+    masses = _chain_masses(delta, n, d, _resolve_exact(exact, n), max_states,
+                           prune=True)
     return DetectionResult(value=1 - (masses.error + masses.tie / 2),
                            method="chain-enumeration")
 
@@ -328,9 +325,6 @@ def two_suspect_chain_audit(delta: int, d: int, n: int, exact=True,
     error + tie + success totals exactly 1 in exact mode, which is the
     internal-consistency certificate for the enumeration.
     """
-    _check_delta_n(delta, n)
-    if d < 1:
-        raise ValidationError(f"suspect distance must be >= 1, got {d}")
     return _chain_masses(delta, n, d, _resolve_exact(exact, n), max_states,
                          prune=False)
 
@@ -347,9 +341,6 @@ def two_suspect_survival_mass(delta: int, depth: int, n: int, exact=True,
     enumerating the full chain space would be hopeless.  Such a chain is
     exactly an erring chain of the pruned walk at d = depth.
     """
-    _check_delta_n(delta, n)
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
     return _chain_masses(delta, n, depth, _resolve_exact(exact, n), max_states,
                          prune=True).error
 

@@ -152,6 +152,8 @@ def snapshot_to_dict(snap: Snapshot) -> dict:
 def snapshot_from_dict(doc: dict, host: Graph | None = None) -> Snapshot:
     """Checked inverse of snapshot_to_dict: ids unique, the source first, and
     one parent per other node, listed before it (subtree sizing relies on it).
+    Given a host, every node must be in it and every (node, parent) pair one
+    of its edges; checking grows no lazy host.
     """
     try:
         nodes = [int(v) for v in doc["nodes"]]
@@ -172,6 +174,12 @@ def snapshot_from_dict(doc: dict, host: Graph | None = None) -> Snapshot:
     for u, p in pairs:
         if pos.get(p, n) >= pos.get(u, -1):
             raise ValidationError(f"parent {p} of node {u} must be listed before it")
+    if host is not None:
+        if root not in host:
+            raise ValidationError(f"source {root} not in the host graph")
+        for u, p in pairs:  # known_neighbors rejects a node the host lacks
+            if p not in host.known_neighbors(u):
+                raise ValidationError(f"parent {p} of node {u} is not a host neighbor")
     parent[root] = None
     return Snapshot(root=root, order=nodes, parent_of=parent, host=host)
 

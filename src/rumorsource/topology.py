@@ -29,6 +29,10 @@ class Graph:
         """The neighbors of u, in ascending id order."""
         raise NotImplementedError
 
+    def known_neighbors(self, u: int) -> list[int]:
+        """The neighbors of u held so far; never grows the graph."""
+        return self.neighbors(u)
+
 
 class ExplicitGraph(Graph):
     """Finite undirected graph held as an adjacency map.
@@ -102,10 +106,16 @@ class LazyRegularTree(Graph):
         """Nodes materialized so far (the tree itself is unbounded)."""
         return len(self._parent)
 
+    def _check(self, u: int) -> None:
+        if not 0 <= u < len(self._parent):
+            raise ValidationError(f"node {u} not materialized")
+
     def parent(self, u: int) -> int | None:
+        self._check(u)
         return self._parent[u] if u else None
 
     def depth(self, u: int) -> int:
+        self._check(u)
         d = 0
         while u:
             u = self._parent[u]
@@ -124,6 +134,7 @@ class LazyRegularTree(Graph):
 
     def known_neighbors(self, u: int) -> list[int]:
         """Neighbors materialized so far, without triggering expansion."""
+        self._check(u)
         if self._first[u]:
             return self.neighbors(u)
         return [self._parent[u]] if u else []
@@ -169,9 +180,7 @@ def regular_tree(delta: int, radius: int) -> LazyRegularTree:
     origin that grows on demand.
     """
     g = LazyRegularTree(delta)  # validates delta
-    if radius < 0:
-        raise ValidationError(f"radius must be >= 0, got {radius}")
-    count = ball_size(delta, radius)
+    count = ball_size(delta, radius)  # validates radius
     if count > MAX_NODES:
         raise CapacityError(
             f"ball of radius {radius} at degree {delta} has {count} nodes, "
@@ -185,6 +194,8 @@ def regular_tree(delta: int, radius: int) -> LazyRegularTree:
 
 def ball_size(delta: int, radius: int) -> int:
     """Node count of the radius-r ball in the degree-delta tree."""
+    if radius < 0:
+        raise ValidationError(f"radius must be >= 0, got {radius}")
     if radius == 0:
         return 1
     if delta == 2:

@@ -1,21 +1,26 @@
-"""Regenerate the golden `experiment` CSVs and `simulate` JSON files in
-this directory.
+"""Regenerate the golden `experiment` CSVs, `simulate` JSON files and
+`exact` JSON files in this directory.
 
     PYTHONPATH=src python3 tests/golden/make_golden.py
 
 Each CSV holds one scenario and backend over degrees 2, 3, 4 and 12 at
 n=30, 300 trials, seed 7, exactly as `rumorsource experiment --format csv`
-prints it: one header, then one row per run.  Each JSON file is the
-snapshot `rumorsource simulate` prints for one (degree, n, seed, backend)
-case on the lazy regular tree.  tests/test_golden.py asserts that the
-current code reproduces every file byte for byte, so regenerate only when
-a change of results is intended.
+prints it: one header, then one row per run.  Each `simulate` JSON file is
+the snapshot `rumorsource simulate` prints for one (degree, n, seed,
+backend) case on the lazy regular tree.  Each `exact` JSON file is the list
+of documents `rumorsource exact <scenario> --format json` prints over
+degrees 2, 3, 4 and 12, three values of the scenario's parameter (its least
+and two more) and n = 1, 2, 7, 30, 200 (rational by default) and 2000
+(float by default).  tests/test_golden.py asserts that the current code
+reproduces every file byte for byte, so regenerate only when a change of
+results is intended.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 from rumorsource.cli import main
@@ -39,6 +44,19 @@ SIMULATE_CASES = (
     (3, 400, 5, "exponential-clocks"),
     (12, 2000, 2, "uniform-boundary"),
 )
+
+# exact scenario -> extra argv per parameter value: its least and two more
+EXACT_PARAMS = {
+    "all-suspects": [[]],
+    "connected-k": [["--k", "1"], ["--k", "2"], ["--k", "5"]],
+    "two-at-d": [["--d", "1"], ["--d", "2"], ["--d", "3"]],
+    "general-k-bound": [["--k", "1"], ["--k", "2"], ["--k", "5"]],
+    "conditional": [["--m", "0"], ["--m", "1"], ["--m", "2"]],
+}
+EXACT_NS = (1, 2, 7, 30, 200, 2000)
+# (scenario, extra argv) left out at the float size n = 2000: the d = 3
+# float walk takes about 0.6 s a degree there
+SLOW_FLOAT = {("two-at-d", ("--d", "3"))}
 
 
 def golden_path(scenario: str, backend: str) -> Path:
@@ -78,6 +96,28 @@ def render_simulate(delta: int, n: int, seed: int, backend: str) -> str:
     return buf.getvalue()
 
 
+def exact_path(scenario: str) -> Path:
+    return HERE / f"exact_{scenario}.json"
+
+
+def render_exact(scenario: str) -> str:
+    docs = []
+    for extra in EXACT_PARAMS[scenario]:
+        for delta in DELTAS:
+            for n in EXACT_NS:
+                if n > 500 and (scenario, tuple(extra)) in SLOW_FLOAT:
+                    continue
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main(["exact", scenario, "--delta", str(delta),
+                                 "--n", str(n), *extra, "--format", "json"])
+                if code != 0:
+                    raise SystemExit(f"exact {scenario} delta={delta} n={n} "
+                                     f"{extra} exited {code}")
+                docs.append(json.loads(buf.getvalue()))
+    return json.dumps(docs, indent=1) + "\n"
+
+
 if __name__ == "__main__":
     for scenario in SCENARIOS:
         for backend in BACKENDS:
@@ -87,4 +127,8 @@ if __name__ == "__main__":
     for case in SIMULATE_CASES:
         path = simulate_path(*case)
         path.write_text(render_simulate(*case))
+        print(path.relative_to(HERE.parent.parent))
+    for scenario in EXACT_PARAMS:
+        path = exact_path(scenario)
+        path.write_text(render_exact(scenario))
         print(path.relative_to(HERE.parent.parent))

@@ -17,7 +17,8 @@ from rumorsource.cli import build_parser, main
 from rumorsource.exactprob import (pc_all_suspects, pc_conditional,
                                    pc_connected, pc_general_lower_bound,
                                    pc_two_suspects)
-from rumorsource.harness import EXACT_SCENARIOS, LIMITS, SCENARIOS
+from rumorsource.harness import EXACT_SCENARIOS, FIGURES, LIMITS, SCENARIOS
+from rumorsource.spread import BACKENDS
 
 
 def run_cli(argv, capsys):
@@ -75,7 +76,7 @@ _EXACT_ROWS = {
     "general-k-bound": (["--k", "3"], lambda delta, n: pc_general_lower_bound(
         delta, 3, n, True).value),
     "conditional": (["--m", "1"],
-                    lambda delta, n: pc_conditional(delta, 1, n, True)),
+                    lambda delta, n: pc_conditional(delta, 1, n, True).value),
 }
 
 
@@ -108,6 +109,9 @@ def test_scenario_choices_come_from_the_table():
     assert _choices("asymptotic", "limit") == tuple(LIMITS) == ("phi1", "phi2",
                                                                 "phi3")
     assert {scenario for scenario, _ in LIMITS.values()} == set(SCENARIOS)
+    assert _choices("simulate", "backend") == _choices("experiment", "backend") \
+        == BACKENDS
+    assert _choices("figure", "figure") == FIGURES == ("fig7", "fig8", "fig9", "fig10")
 
 
 @pytest.mark.parametrize("argv", [
@@ -337,6 +341,12 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as ei:
         main(["nonsense"])
     assert ei.value.code == 2
+    for argv in (["simulate", "--delta", "3", "--n", "5", "--seed", "1",
+                  "--backend", "bogus"],
+                 ["figure", "--figure", "fig11", "--seed", "1"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
 
 
 def test_simulate_then_estimate_roundtrip(tmp_path, capsys):
@@ -354,6 +364,27 @@ def test_simulate_then_estimate_roundtrip(tmp_path, capsys):
     assert est["chosen"] in doc["nodes"]
     assert est["method"] == "tree-exact"
     assert set(est["argmax_set"]) <= set(doc["nodes"])
+
+
+def test_estimate_rejects_a_parent_that_is_not_a_host_edge(tmp_path, capsys):
+    graph_file = tmp_path / "path.txt"
+    graph_file.write_text("0 1\n1 2\n2 3\n3 4\n")
+    snap_file = tmp_path / "star.json"
+    snap_file.write_text(json.dumps({"n": 5, "source": 0, "nodes": [0, 1, 2, 3, 4],
+                                     "parents": [[1, 0], [2, 0], [3, 0], [4, 0]]}))
+    code, out, err = run_cli(["estimate", "--snapshot", str(snap_file),
+                              "--edge-list", str(graph_file),
+                              "--suspects", "0,1,2,3,4", "--tie-seed", "0"], capsys)
+    assert code == 4 and out == ""
+    assert "not a host neighbor" in err and "Traceback" not in err
+    # a snapshot simulated on the same host loads and estimates
+    code, _, _ = run_cli(["simulate", "--edge-list", str(graph_file), "--source", "2",
+                          "--n", "5", "--seed", "1", "-o", str(snap_file)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["estimate", "--snapshot", str(snap_file),
+                            "--edge-list", str(graph_file),
+                            "--suspects", "0,1,2,3,4", "--tie-seed", "0"], capsys)
+    assert code == 0 and json.loads(out)["chosen"] == 2
 
 
 def test_estimate_csv_format(tmp_path, capsys):

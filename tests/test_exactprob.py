@@ -21,6 +21,7 @@ import pytest
 
 import rumorsource
 from oracles import detection_prob_by_enumeration
+from rumorsource import exactprob
 from rumorsource.errors import BudgetError, ValidationError
 from rumorsource.exactprob import (DEFAULT_STATE_BUDGET, ChainMasses,
                                    DetectionResult, _chain_masses, _inv_table,
@@ -68,11 +69,11 @@ def test_connected_equals_all_when_k_covers_degree():
     # with k = delta + 1 the suspect ball is the source plus every branch
     # start, matching the all-suspects law only at delta = k - 1... instead
     # check the documented identity: all-suspects equals the conditional
-    # with m = delta
-    for delta in (2, 3, 4):
-        for n in (1, 2, 5, 9, 16):
-            assert pc_all_suspects(delta, n, exact=True).value == \
-                pc_conditional(delta, delta, n)
+    # with m = delta, as whole results in both arithmetics
+    for delta in (2, 3, 4, 12):
+        for n in (1, 2, 5, 9, 16, 501, 2000, 20001):
+            assert pc_conditional(delta, delta, n) == pc_all_suspects(delta, n), \
+                (delta, n)
 
 
 def test_conditional_formulas_degree_three():
@@ -81,11 +82,46 @@ def test_conditional_formulas_degree_three():
         half = 2 * (n // 2) + 1
         want1 = Fraction(3, 4) + Fraction(1, 4) / half
         want2 = Fraction(1, 2) + Fraction(1, 2) / half
-        assert pc_conditional(3, 1, n) == want1
-        assert pc_conditional(3, 2, n) == want2
+        assert pc_conditional(3, 1, n).value == want1
+        assert pc_conditional(3, 2, n).value == want2
     with pytest.raises(ValidationError):
         pc_conditional(3, 4, 10)
-    assert pc_conditional(3, 0, 10) == 1
+    assert pc_conditional(3, 0, 10).value == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not be taken")
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("delta,n", [(2, 40), (3, 40), (2, 10**5), (3, 10**5)])
+def test_conditional_takes_the_closed_forms(monkeypatch, delta, n, exact):
+    # degrees 2 and 3 answer from the closed forms, walking no chain and
+    # building no float pmf
+    monkeypatch.setattr(exactprob, "_chain_masses", _refuse)
+    monkeypatch.setattr(exactprob, "tree_split_marginal_pmf", _refuse)
+    for m in range(delta + 1):
+        r = pc_conditional(delta, m, n, exact=exact)
+        assert r.method == "closed-form"
+        assert type(r.value) is (Fraction if exact else float)
+        assert 0 < r.value <= 1
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_pruned_walk_past_n_builds_no_table(monkeypatch, exact):
+    # a distance of at least n cannot be reached, so the answer needs no table
+    monkeypatch.setattr(exactprob, "_inv_table", _refuse)
+    assert pc_two_suspects(3, 600, 500, exact=exact).value == 1
+    assert two_suspect_survival_mass(3, 600, 500, exact=exact) == 0
+
+
+@pytest.mark.parametrize("entry", [pc_two_suspects, two_suspect_chain_audit,
+                                   two_suspect_survival_mass])
+@pytest.mark.parametrize("delta,d,n", [(1, 2, 10), (3, 2, 0), (3, 0, 10),
+                                       (3, -1, 10)])
+def test_two_suspect_entries_check_their_arguments(entry, delta, d, n):
+    with pytest.raises(ValidationError):
+        entry(delta, d, n)
 
 
 def test_closed_forms_match_tail_route_small():
@@ -147,6 +183,8 @@ def test_float_closed_forms_are_rounded_rationals(delta, n):
               pc_all_suspects(delta, n, exact=True))]
     pairs += [(pc_connected(delta, k, n, exact=False),
                pc_connected(delta, k, n, exact=True)) for k in (2, 5)]
+    pairs += [(pc_conditional(delta, m, n, exact=False),
+               pc_conditional(delta, m, n, exact=True)) for m in (1, delta)]
     for fl, ex in pairs:
         assert fl.method == ex.method == "closed-form"
         assert type(fl.value) is float and fl.value == float(ex.value)

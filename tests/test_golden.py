@@ -1,10 +1,12 @@
-"""Seeded `experiment` and `simulate` output must match the checked-in
-golden files."""
+"""Seeded `experiment` and `simulate` output, and `exact` JSON output, must
+match the checked-in golden files."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from rumorsource.harness import EXACT_SCENARIOS
 
 _spec = importlib.util.spec_from_file_location(
     "make_golden", Path(__file__).resolve().parent / "golden" / "make_golden.py")
@@ -23,3 +25,13 @@ def test_experiment_csv_matches_golden(scenario, backend):
 def test_simulate_json_matches_golden(case):
     want = make_golden.simulate_path(*case).read_text()
     assert make_golden.render_simulate(*case) == want
+
+
+def test_exact_goldens_cover_every_exact_scenario():
+    assert tuple(make_golden.EXACT_PARAMS) == EXACT_SCENARIOS
+
+
+@pytest.mark.parametrize("scenario", sorted(make_golden.EXACT_PARAMS))
+def test_exact_json_matches_golden(scenario):
+    want = make_golden.exact_path(scenario).read_text()
+    assert make_golden.render_exact(scenario) == want

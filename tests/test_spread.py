@@ -206,6 +206,38 @@ def test_serialization_rejects_garbage():
         snapshot_from_json("{]")
 
 
+def test_loading_checks_nodes_and_parents_against_the_host():
+    path = ExplicitGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
+    star = {"n": 5, "source": 0, "nodes": [0, 1, 2, 3, 4],
+            "parents": [[1, 0], [2, 0], [3, 0], [4, 0]]}
+    assert snapshot_from_dict(star).parent_of[4] == 0  # no host: trusted
+    with pytest.raises(ValidationError, match="not a host neighbor"):
+        snapshot_from_dict(star, host=path)
+    stray = {"n": 2, "source": 0, "nodes": [0, 7], "parents": [[7, 0]]}
+    with pytest.raises(ValidationError, match="7 not in graph"):
+        snapshot_from_dict(stray, host=path)
+    with pytest.raises(ValidationError, match="source 9 not in the host"):
+        snapshot_from_dict({"n": 1, "source": 9, "nodes": [9], "parents": []},
+                           host=path)
+    snap = simulate_si(path, SpreadConfig(source=2, n=4, seed=3,
+                                          backend="exponential-clocks"))
+    back = snapshot_from_dict(snapshot_to_dict(snap), host=path)
+    assert back.parent_of == snap.parent_of
+
+
+def test_loading_on_a_lazy_host_grows_nothing():
+    g = LazyRegularTree(3)
+    snap = simulate_si(g, SpreadConfig(source=0, n=30, seed=4))
+    doc = snapshot_to_dict(snap)
+    held = g.num_nodes
+    assert snapshot_from_dict(doc, host=g).parent_of == snap.parent_of
+    *earlier, u = doc["nodes"]  # the last pair is u's; give u a non-neighbor
+    doc["parents"][-1] = [u, next(v for v in earlier if v not in g.known_neighbors(u))]
+    with pytest.raises(ValidationError, match="not a host neighbor"):
+        snapshot_from_dict(doc, host=g)
+    assert g.num_nodes == held
+
+
 def test_deserialized_snapshot_feeds_centrality():
     from rumorsource.centrality import centrality_all
     g = LazyRegularTree(3)

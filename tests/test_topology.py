@@ -49,6 +49,20 @@ def test_regular_tree_validation():
         regular_tree(3, -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: g.parent(-1), lambda g: g.parent(99), lambda g: g.depth(-2),
+    lambda g: g.depth(99), lambda g: g.known_neighbors(-1),
+    lambda g: g.known_neighbors(99), lambda g: g.neighbors(-1),
+    lambda g: ball_size(3, -1)],
+    ids=["parent-neg", "parent-high", "depth-neg", "depth-high", "known-neg",
+         "known-high", "neighbors-neg", "ball-neg-radius"])
+def test_lazy_tree_rejects_ids_it_does_not_hold(call):
+    g = regular_tree(3, 1)  # nodes 0..3
+    with pytest.raises(ValidationError):
+        call(g)
+    assert g.num_nodes == 4
+
+
 def test_lazy_expansion_is_deterministic():
     a = LazyRegularTree(3)
     b = LazyRegularTree(3)
