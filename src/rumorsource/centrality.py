@@ -12,7 +12,9 @@ per-edge factors along the a-b path, a ratio of small-integer products
 (`_path_ratio`).  `_tree_argmax`, the MAP estimator's tree route, ranks
 suspects this way, and when every infected node is a suspect it takes the
 tree centroid, which is exactly the argmax set.  On non-tree hosts the exact
-count is undefined and callers must BFS a spanning tree first.
+count is undefined; the BFS heuristic scores each root on its own BFS tree
+over the infected set, and ranks roots by subtree-size product alone
+(`_bfs_size_products`), with no n!.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .topology import Graph, Snapshot, bfs_tree
+from .errors import NoPathError, ValidationError
+from .topology import Graph, Snapshot, _bfs_layers
 
 
 def _require_tree(snap: Snapshot, *nodes: int) -> None:
@@ -228,7 +230,39 @@ def subtree_counts(snap: Snapshot, root: int) -> list[int]:
     return [branch.get(v, 0) for v in sorted(neigh)]
 
 
+def _bfs_size_products(g: Graph, nodes, roots) -> list[int]:
+    """Per root, the product P of subtree sizes of its BFS tree over `nodes`.
+
+    The heuristic count n!/P falls strictly as P grows, so the least product
+    marks the largest count.  The induced adjacency is built once on local
+    indices 0..n-1 in ascending id order, so `_bfs_layers` keeps its lowest-id
+    parent rule on it; one reverse pass over each visit order sizes subtrees.
+    """
+    ids = sorted(set(nodes))
+    local = {v: i for i, v in enumerate(ids)}
+    adj = [[local[w] for w in g.neighbors(v) if w in local] if v in g else []
+           for v in ids]
+    products = []
+    for root in roots:
+        if root not in local:
+            raise ValidationError(f"root {root} not in restriction set")
+        if root not in g:
+            raise ValidationError(f"root {root} not in graph")
+        order = []
+        for layer, parent in _bfs_layers(adj.__getitem__, local[root]):
+            order.extend(layer)
+        if len(order) != len(ids):
+            missing = [v for i, v in enumerate(ids) if i not in parent][:5]
+            raise NoPathError(f"restriction set not connected from {root}: "
+                              f"missing {missing}")
+        size = [1] * len(ids)
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        products.append(math.prod(size))
+    return products
+
+
 def bfs_heuristic_centrality(g: Graph, nodes, s: int) -> int:
     """General-graph proxy: rumor centrality of s on its BFS tree over `nodes`."""
-    snap = bfs_tree(g, s, restrict=nodes)
-    return _root_count(snap.n, _subtree_sizes(snap))
+    nodes = set(nodes)
+    return math.factorial(len(nodes)) // _bfs_size_products(g, nodes, [s])[0]

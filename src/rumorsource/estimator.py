@@ -6,8 +6,9 @@ argmax is found exactly from subtree sizes, with no big counts: when every
 infected node is a suspect it is the tree centroid, and otherwise an exact
 pairwise tournament compares suspects by the small-integer path ratio
 R(c)/R(b).  On cyclic hosts each candidate is scored on its own BFS
-spanning tree.  Centrality ties are split by a fair coin driven by an
-explicit tie seed.
+spanning tree of the infected set: n! over its subtree-size product, so the
+least product wins and no n! is formed.  Centrality ties are split by a
+fair coin driven by an explicit tie seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import CapacityError, ValidationError
 from .topology import Graph, Snapshot, _bfs_layers, shortest_path
-from .centrality import _tree_argmax, bfs_heuristic_centrality
+from .centrality import _bfs_size_products, _tree_argmax
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ def make_suspects_connected(g: Graph, anchor: int, k: int) -> SuspectSet:
     if anchor not in g:
         raise ValidationError(f"anchor {anchor} not in graph")
     chosen = []
-    for layer, _ in _bfs_layers(g, anchor):
+    for layer, _ in _bfs_layers(g.neighbors, anchor):
         chosen.extend(layer[:k - len(chosen)])
         if len(chosen) == k:
             return SuspectSet(chosen)
@@ -76,8 +77,9 @@ def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Est
     """Most likely source among the suspects that are actually infected.
 
     Tree hosts get the exact argmax from subtree sizes; otherwise each
-    candidate is scored on its BFS tree over the infected set.  A tie is
-    resolved uniformly at random from the tied set using tie_seed.
+    candidate is scored on its BFS tree over the infected set, by the
+    product of its subtree sizes (least wins).  A tie is resolved uniformly
+    at random from the tied set using tie_seed.
     """
     candidates = sorted(suspects.members & snap.nodes)
     if not candidates:
@@ -88,10 +90,9 @@ def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Est
     elif tree:
         argmax = _tree_argmax(snap, candidates)
     else:
-        scores = {s: bfs_heuristic_centrality(snap.host, snap.nodes, s)
-                  for s in candidates}
-        best = max(scores.values())
-        argmax = tuple(s for s in candidates if scores[s] == best)
+        products = _bfs_size_products(snap.host, snap.nodes, candidates)
+        least = min(products)
+        argmax = tuple(s for s, p in zip(candidates, products) if p == least)
     tie = len(argmax) > 1
     pick = random.Random(tie_seed).randrange(len(argmax)) if tie else 0
     return Estimate(chosen=argmax[pick], argmax_set=argmax, tie_broken=tie,

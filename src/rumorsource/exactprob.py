@@ -68,12 +68,6 @@ class DetectionResult:
 # ---------------------------------------------------------------------------
 # single-subtree tail
 
-def _tail_exact(delta: int, n: int) -> Fraction:
-    """Fraction form of single_subtree_tail: the d = 1 walk, unbudgeted."""
-    m = _chain_masses(delta, n, 1, True, math.inf, prune=True)
-    return m.error + m.tie / 2
-
-
 def _tail_float(delta: int, n: int) -> float:
     p = tree_split_marginal_pmf(delta, n)
     total = float(p[n // 2 + 1:].sum())
@@ -82,13 +76,39 @@ def _tail_float(delta: int, n: int) -> float:
     return total
 
 
+def _central_term(n: int) -> float:
+    """C(n-1, m)/2^(n-1), m = (n-1)//2, from the series of C(2m, m)/4^m."""
+    m = (n - 1) // 2
+    c = (1 - 1 / (8 * m) + 1 / (128 * m ** 2) + 5 / (1024 * m ** 3)
+         - 21 / (32768 * m ** 4)) / math.sqrt(math.pi * m)
+    if (n - 1) % 2:
+        c *= (2 * m + 1) / (2 * m + 2)
+    return c
+
+
 def single_subtree_tail(delta: int, n: int, exact=None):
     """P[one fixed source-neighbor subtree holds > half of n] + half the
-    exact-half mass.  The building block of every tail-sum probability."""
+    exact-half mass.  The building block of every tail-sum probability.
+
+    Closed forms at degree 2, (1 - c)/2 with c the central binomial term
+    (a binomial window, or its series in float above BINOM_FLOAT_N), and at
+    degree 3, (n//2)/(4(n//2)+2); a float closed form is the rational
+    rounded once.  Higher degrees walk the d = 1 chain.
+    """
     _check_delta_n(delta, n)
-    if _resolve_exact(exact, n):
-        return _tail_exact(delta, n)
-    return _tail_float(delta, n)
+    use_exact = _resolve_exact(exact, n)
+    if delta == 2 and not use_exact and n > BINOM_FLOAT_N:
+        return (1 - _central_term(n)) / 2
+    if delta == 2:
+        tail = _binomial_window(n, (n - 1) // 2, (n - 1) // 2)
+    elif delta == 3:
+        tail = Fraction(n // 2, 4 * (n // 2) + 2)
+    elif use_exact:
+        m = _chain_masses(delta, n, 1, True, math.inf, prune=True)
+        return m.error + m.tie / 2
+    else:
+        return _tail_float(delta, n)
+    return tail if use_exact else float(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -96,28 +116,22 @@ def single_subtree_tail(delta: int, n: int, exact=None):
 
 def _tail_sum(delta: int, n: int, mult, exact) -> DetectionResult:
     """1 - mult * single_subtree_tail, mult the source's mean number of
-    suspect neighbors.  The tail has a closed form at degree 2 and 3 and is
-    walked above; with mult = 0 nothing is walked."""
+    suspect neighbors.  The tail has a closed form at degree 2 and 3, taken
+    exactly and rounded once, and is walked above; with mult = 0 nothing is
+    walked."""
     use_exact = _resolve_exact(exact, n)
     if not mult:
-        tail = Fraction(0)
-    elif delta == 2 and not use_exact and n > BINOM_FLOAT_N:
-        # c = C(n-1, m)/2^(n-1) from the series of C(2m, m)/4^m; tail (1 - c)/2 uncancelled
-        m = (n - 1) // 2
-        c = (1 - 1 / (8 * m) + 1 / (128 * m ** 2) + 5 / (1024 * m ** 3)
-             - 21 / (32768 * m ** 4)) / math.sqrt(math.pi * m)
-        if (n - 1) % 2:
-            c *= (2 * m + 1) / (2 * m + 2)
-        return DetectionResult(value=float(1 - Fraction(mult, 2) + mult * c / 2),
-                               method="closed-form")
-    elif delta == 2:
-        tail = _binomial_window(n, (n - 1) // 2, (n - 1) // 2)
-    elif delta == 3:
-        tail = Fraction(n // 2, 4 * (n // 2) + 2)
-    else:
+        v = Fraction(1)
+    elif delta > 3:
         return DetectionResult(value=1 - mult * single_subtree_tail(delta, n, use_exact),
                                method="tail-sum")
-    v = 1 - mult * tail
+    elif delta == 2 and not use_exact and n > BINOM_FLOAT_N:
+        # 1 - mult (1 - c)/2, with the small c kept apart from the 1
+        return DetectionResult(
+            value=float(1 - Fraction(mult, 2) + mult * _central_term(n) / 2),
+            method="closed-form")
+    else:
+        v = 1 - mult * single_subtree_tail(delta, n, exact=True)
     return DetectionResult(value=v if use_exact else float(v), method="closed-form")
 
 

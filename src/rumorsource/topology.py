@@ -274,15 +274,16 @@ class Snapshot:
         return twice_edges == 2 * (self.n - 1)
 
 
-def _bfs_layers(g: Graph, root: int, restrict=None):
+def _bfs_layers(neighbors, root: int):
     """Breadth-first layers from root, each in ascending id order.
 
     The package's one BFS rule: a layer's nodes, and each node's neighbors,
     are scanned in ascending id order, so a node reachable from several
-    nodes of the previous layer gets the lowest-id parent.  Yields
-    (layer, parent) where `parent` maps every node reached so far to its
-    BFS parent (root to None).  Nodes outside `restrict` are never entered.
-    A layer is expanded only when the next one is asked for.
+    nodes of the previous layer gets the lowest-id parent.  `neighbors(u)`
+    gives u's neighbors in ascending order (`Graph.neighbors`, or a lookup
+    into an adjacency list).  Yields (layer, parent) where `parent` maps
+    every node reached so far to its BFS parent (root to None).  A layer is
+    expanded only when the next one is asked for.
     """
     parent: dict[int, int | None] = {root: None}
     layer = [root]
@@ -290,8 +291,8 @@ def _bfs_layers(g: Graph, root: int, restrict=None):
         yield layer, parent
         nxt = []
         for u in layer:
-            for v in g.neighbors(u):
-                if v not in parent and (restrict is None or v in restrict):
+            for v in neighbors(u):
+                if v not in parent:
                     parent[v] = u
                     nxt.append(v)
         layer = sorted(nxt)
@@ -299,16 +300,21 @@ def _bfs_layers(g: Graph, root: int, restrict=None):
 
 def bfs_tree(g: Graph, root: int, restrict=None) -> Snapshot:
     """Breadth-first spanning tree of `restrict` (or all of g) from root,
-    ordered and parented by `_bfs_layers`.
+    ordered and parented by `_bfs_layers`; nodes outside `restrict` are
+    never entered.
     """
+    neighbors = g.neighbors
     if restrict is not None:
         restrict = frozenset(restrict)
         if root not in restrict:
             raise ValidationError(f"root {root} not in restriction set")
+
+        def neighbors(u):
+            return filter(restrict.__contains__, g.neighbors(u))
     if root not in g:
         raise ValidationError(f"root {root} not in graph")
     order = []
-    for layer, parent in _bfs_layers(g, root, restrict):
+    for layer, parent in _bfs_layers(neighbors, root):
         order.extend(layer)
     if restrict is not None and len(parent) != len(restrict):
         missing = sorted(set(restrict) - set(parent))[:5]
@@ -326,7 +332,7 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int]:
         return [u]
     if isinstance(g, LazyRegularTree):
         return _tree_path(g, u, v)
-    for _, prev in _bfs_layers(g, u):
+    for _, prev in _bfs_layers(g.neighbors, u):
         if v in prev:
             break
     else:

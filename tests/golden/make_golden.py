@@ -1,5 +1,5 @@
-"""Regenerate the golden `experiment` CSVs, `simulate` JSON files and
-`exact` JSON files in this directory.
+"""Regenerate the golden `experiment` CSVs, `simulate` JSON files, `exact`
+JSON files and the cyclic-host `estimate` JSON file in this directory.
 
     PYTHONPATH=src python3 tests/golden/make_golden.py
 
@@ -11,7 +11,12 @@ backend) case on the lazy regular tree.  Each `exact` JSON file is the list
 of documents `rumorsource exact <scenario> --format json` prints over
 degrees 2, 3, 4 and 12, three values of the scenario's parameter (its least
 and two more) and n = 1, 2, 7, 30, 200 (rational by default) and 2000
-(float by default).  tests/test_golden.py asserts that the current code
+(float by default).  The `estimate` file is the list of
+`rumorsource estimate --edge-list ... --format json` answers for
+exponential-clocks snapshots on two hosts with cycles, where the estimator
+takes its BFS-heuristic route: a 12x12 torus with connected suspects, and a
+6-cycle with its three long chords, on which every node ties.
+tests/test_golden.py asserts that the current code
 reproduces every file byte for byte, so regenerate only when a change of
 results is intended.
 """
@@ -21,9 +26,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 from rumorsource.cli import main
+from rumorsource.estimator import make_suspects_connected
+from rumorsource.topology import ExplicitGraph
 
 HERE = Path(__file__).resolve().parent
 DELTAS = (2, 3, 4, 12)
@@ -57,6 +65,23 @@ EXACT_NS = (1, 2, 7, 30, 200, 2000)
 # (scenario, extra argv) left out at the float size n = 2000: the d = 3
 # float walk takes about 0.6 s a degree there
 SLOW_FLOAT = {("two-at-d", ("--d", "3"))}
+
+
+TORUS_SIDE = 12
+TORUS_EDGES = tuple(
+    (r * TORUS_SIDE + c, u)
+    for r in range(TORUS_SIDE) for c in range(TORUS_SIDE)
+    for u in (r * TORUS_SIDE + (c + 1) % TORUS_SIDE,
+              ((r + 1) % TORUS_SIDE) * TORUS_SIDE + c))
+CHORD_EDGES = tuple((i, (i + 1) % 6) for i in range(6)) + ((0, 3), (1, 4), (2, 5))
+# host -> (edges, (source, n, seed, k) of each case); the k suspects are the
+# first k nodes of the BFS from the source, and seed is also the tie seed
+ESTIMATE_HOSTS = {
+    "torus-12x12": (TORUS_EDGES, ((0, 60, 1, 8), (77, 60, 2, 12),
+                                  (143, 60, 3, 20))),
+    "chorded-6-cycle": (CHORD_EDGES, ((0, 6, 1, 6), (0, 6, 2, 6), (3, 6, 3, 6),
+                                      (2, 4, 4, 6))),
+}
 
 
 def golden_path(scenario: str, backend: str) -> Path:
@@ -118,6 +143,43 @@ def render_exact(scenario: str) -> str:
     return json.dumps(docs, indent=1) + "\n"
 
 
+def estimate_path() -> Path:
+    return HERE / "estimate_bfs-heuristic.json"
+
+
+def _cli(argv: list[str]) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
+def render_estimate() -> str:
+    docs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for host, (edges, cases) in ESTIMATE_HOSTS.items():
+            graph = Path(tmp) / f"{host}.txt"
+            graph.write_text("".join(f"{u} {v}\n" for u, v in edges))
+            g = ExplicitGraph.from_edges(edges)
+            for source, n, seed, k in cases:
+                snap = Path(tmp) / "snapshot.json"
+                snap.write_text(_cli([
+                    "simulate", "--edge-list", str(graph), "--source", str(source),
+                    "--n", str(n), "--seed", str(seed),
+                    "--backend", "exponential-clocks"]))
+                suspects = sorted(make_suspects_connected(g, source, k).members)
+                est = _cli(["estimate", "--snapshot", str(snap),
+                            "--edge-list", str(graph),
+                            "--suspects", ",".join(map(str, suspects)),
+                            "--tie-seed", str(seed), "--format", "json"])
+                docs.append({"host": host, "source": source, "n": n,
+                             "seed": seed, "suspects": suspects,
+                             "estimate": json.loads(est)})
+    return json.dumps(docs, indent=1) + "\n"
+
+
 if __name__ == "__main__":
     for scenario in SCENARIOS:
         for backend in BACKENDS:
@@ -132,3 +194,6 @@ if __name__ == "__main__":
         path = exact_path(scenario)
         path.write_text(render_exact(scenario))
         print(path.relative_to(HERE.parent.parent))
+    path = estimate_path()
+    path.write_text(render_estimate())
+    print(path.relative_to(HERE.parent.parent))

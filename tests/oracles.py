@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from rumorsource.centrality import centrality_all
+from rumorsource.centrality import _root_count, _subtree_sizes, centrality_all
 from rumorsource.errors import CapacityError
+from rumorsource.spread import SpreadConfig, simulate_si
 from rumorsource.topology import ExplicitGraph, bfs_tree, regular_tree
 
 
@@ -52,6 +53,56 @@ def snap_from_adj(adj, root):
         return bfs_tree(g, 0, restrict={0})
     g = ExplicitGraph.from_edges(edges)
     return bfs_tree(g, root)
+
+
+def bfs_tree_count(g, nodes, s):
+    """The BFS heuristic one root at a time: s's own BFS spanning tree over
+    `nodes`, then n! over its subtree-size product.  It shares the one BFS
+    rule with the library, which both must follow; what it checks is the
+    library's scoring of many roots on one induced adjacency."""
+    snap = bfs_tree(g, s, restrict=nodes)
+    return _root_count(snap.n, _subtree_sizes(snap))
+
+
+def torus_graph(side):
+    """side x side torus, node r * side + c."""
+    return ExplicitGraph.from_edges(
+        (r * side + c, v) for r in range(side) for c in range(side)
+        for v in (r * side + (c + 1) % side, ((r + 1) % side) * side + c))
+
+
+def cyclic_node_sets(rng):
+    """About 200 (graph, connected node set) cases on hosts with cycles:
+    exponential-clocks snapshots of tori, random connected subsets of random
+    graphs with scattered ids, cycles and complete graphs (every node ties
+    once all are in) and single nodes."""
+    for t in range(60):
+        side = rng.randrange(4, 11)
+        g = torus_graph(side)
+        n = rng.randrange(1, min(60, side * side) + 1)
+        snap = simulate_si(g, SpreadConfig(source=rng.randrange(side * side), n=n,
+                                           seed=t, backend="exponential-clocks"))
+        yield g, snap.nodes
+    for _ in range(110):
+        size = rng.randrange(3, 40)
+        ids = rng.sample(range(5 * size), size)
+        edges = {(ids[i], ids[rng.randrange(i)]) for i in range(1, size)}
+        edges |= {tuple(rng.sample(ids, 2)) for _ in range(rng.randrange(1, size))}
+        g = ExplicitGraph.from_edges(edges)
+        nodes, frontier = set(), {rng.choice(ids)}
+        for _ in range(rng.randrange(1, size + 1)):
+            u = rng.choice(sorted(frontier))
+            nodes.add(u)
+            frontier = (frontier | set(g.neighbors(u))) - nodes
+        yield g, frozenset(nodes)
+    for m in range(3, 13):
+        g = ExplicitGraph.from_edges((i, (i + 1) % m) for i in range(m))
+        yield g, frozenset(range(m))
+    for m in range(3, 9):
+        g = ExplicitGraph.from_edges((i, j) for i in range(m) for j in range(i))
+        yield g, frozenset(range(m))
+    for u in (0, 7, 15):
+        yield torus_graph(4), frozenset([u])
 
 
 def enumerate_draws(initial, eps, draws):

@@ -6,15 +6,18 @@ the factorial/subtree formula is tested against something that knows
 nothing about subtree sizes.
 """
 
+import math
 import random
 
 import pytest
 
-from oracles import count_orderings, random_tree_adj, snap_from_adj
-from rumorsource.centrality import (_ancestors, _path_ratio, _subtree_sizes,
-                                    bfs_heuristic_centrality, centrality_all,
-                                    local_rumor_center, rumor_centrality)
-from rumorsource.errors import ValidationError
+from oracles import (bfs_tree_count, count_orderings, cyclic_node_sets,
+                     random_tree_adj, snap_from_adj)
+from rumorsource.centrality import (_ancestors, _bfs_size_products, _path_ratio,
+                                    _subtree_sizes, bfs_heuristic_centrality,
+                                    centrality_all, local_rumor_center,
+                                    rumor_centrality)
+from rumorsource.errors import NoPathError, ValidationError
 from rumorsource.topology import ExplicitGraph, bfs_tree
 
 
@@ -215,3 +218,34 @@ def test_bfs_heuristic_equals_exact_on_trees():
             snap = bfs_tree(g, v)
             assert bfs_heuristic_centrality(g, infected, v) == \
                 rumor_centrality(snap, v)
+
+
+def test_size_products_match_per_root_bfs_trees():
+    # one induced adjacency scores every root as its own BFS tree would
+    cases = ties = 0
+    for g, nodes in cyclic_node_sets(random.Random(21)):
+        roots = sorted(nodes)
+        counts = [bfs_tree_count(g, nodes, s) for s in roots]
+        products = _bfs_size_products(g, nodes, roots)
+        fact = math.factorial(len(nodes))
+        assert [c * p for c, p in zip(counts, products)] == [fact] * len(roots)
+        assert [bfs_heuristic_centrality(g, list(nodes), s) for s in roots] == counts
+        cases += 1
+        ties += len(roots) > 1 and len(set(products)) == 1
+    assert cases >= 180 and ties >= 16
+
+
+@pytest.mark.parametrize("nodes,root,error", [
+    ({0, 1, 5}, 0, NoPathError),  # two components
+    ({0, 1, 9}, 0, NoPathError),  # 9 is not in the graph
+    ({0, 1, 2}, 5, ValidationError),  # root outside the set
+    ({9}, 9, ValidationError),  # root outside the graph
+])
+def test_size_products_raise_like_bfs_tree(nodes, root, error):
+    g = ExplicitGraph.from_edges([(0, 1), (1, 2), (2, 0), (5, 6)])
+    with pytest.raises(error):
+        bfs_tree(g, root, restrict=nodes)
+    with pytest.raises(error):
+        _bfs_size_products(g, nodes, [root])
+    with pytest.raises(error):
+        bfs_heuristic_centrality(g, nodes, root)

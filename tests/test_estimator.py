@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import bfs_tree_count, cyclic_node_sets, torus_graph
 from rumorsource import centrality, estimator
 from rumorsource.centrality import centrality_all, local_rumor_center
 from rumorsource.errors import CapacityError, NoPathError, ValidationError
@@ -232,3 +233,45 @@ def test_tree_map_forms_no_big_counts(monkeypatch):
     assert map_estimate(snap, make_suspects_all(snap)).method == "tree-exact"
     sus = make_suspects_connected(g, 0, 20)
     assert map_estimate(snap, sus).method == "tree-exact"
+
+
+def _per_root_argmax(g, nodes, members):
+    counts = {s: bfs_tree_count(g, nodes, s) for s in sorted(set(members) & nodes)}
+    best = max(counts.values())
+    return tuple(s for s, c in counts.items() if c == best)
+
+
+def test_cyclic_map_matches_per_root_argmax():
+    rng = random.Random(34)
+    cyclic = ties = 0
+    for g, nodes in cyclic_node_sets(random.Random(55)):
+        snap = bfs_tree(g, min(nodes), restrict=nodes)
+        if snap.is_host_tree():
+            continue
+        cyclic += 1
+        picks = rng.sample(sorted(nodes), rng.randrange(1, len(nodes) + 1))
+        for sus in (make_suspects_all(snap), SuspectSet(picks)):
+            want = _per_root_argmax(g, nodes, sus.members)
+            est = map_estimate(snap, sus, tie_seed=cyclic)
+            assert est.method == "bfs-heuristic"
+            assert est.argmax_set == want, (sorted(nodes), sorted(sus.members))
+            assert est.tie_broken == (len(want) > 1) and est.chosen in want
+            ties += len(want) > 1
+    assert cyclic >= 100 and ties > 0
+
+
+def test_cyclic_map_forms_no_factorial(monkeypatch):
+    g = torus_graph(12)
+    snap = simulate_si(g, SpreadConfig(source=0, n=120, seed=4,
+                                       backend="exponential-clocks"))
+    sus = make_suspects_connected(g, 0, 20)
+    want = _per_root_argmax(g, snap.nodes, sus.members)
+
+    def boom(*args):
+        raise AssertionError("cyclic MAP must not form n!")
+
+    monkeypatch.setattr(centrality.math, "factorial", boom)
+    monkeypatch.setattr(centrality, "_root_count", boom)
+    monkeypatch.setattr(centrality, "bfs_heuristic_centrality", boom)
+    est = map_estimate(snap, sus)
+    assert est.method == "bfs-heuristic" and est.argmax_set == want

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -149,6 +150,30 @@ def test_tail_identity_degree_two():
         mid = math.comb(n - 1, (n - 1) // 2)
         want = (1 - Fraction(mid, 2 ** (n - 1))) / 2
         assert single_subtree_tail(2, n, exact=True) == want
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+def test_tail_closed_forms_match_the_walk(delta):
+    for n in range(1, 61):
+        m = _chain_masses(delta, n, 1, True, math.inf, prune=True)
+        assert single_subtree_tail(delta, n, exact=True) == m.error + m.tie / 2
+
+
+def test_tail_degree_three_takes_no_walk():
+    # the d = 1 chain walk took about a minute at this size, in big integers
+    t0 = time.perf_counter()
+    tail = single_subtree_tail(3, 10**5, exact=True)
+    assert time.perf_counter() - t0 < 0.01
+    assert tail == Fraction(50000, 4 * 50000 + 2)
+
+
+@pytest.mark.parametrize("delta,n", [(2, 501), (2, 2000), (2, 20001), (3, 501),
+                                     (3, 2000), (3, 20001), (3, 10**6)])
+def test_float_tail_closed_forms_track_the_rational(delta, n):
+    ex = single_subtree_tail(delta, n, exact=True)
+    fl = single_subtree_tail(delta, n, exact=False)
+    assert type(fl) is float
+    assert abs(Fraction(fl) - ex) <= 1e-15 * ex, (delta, n, fl)
 
 
 @pytest.mark.parametrize("delta", [3, 4, 12])

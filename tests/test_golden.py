@@ -1,7 +1,8 @@
-"""Seeded `experiment` and `simulate` output, and `exact` JSON output, must
-match the checked-in golden files."""
+"""Seeded `experiment` and `simulate` output, `exact` JSON output and the
+cyclic-host `estimate` JSON output must match the checked-in golden files."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,11 @@ def test_exact_goldens_cover_every_exact_scenario():
 def test_exact_json_matches_golden(scenario):
     want = make_golden.exact_path(scenario).read_text()
     assert make_golden.render_exact(scenario) == want
+
+
+def test_estimate_json_matches_golden():
+    want = make_golden.estimate_path().read_text()
+    docs = json.loads(want)
+    assert {d["estimate"]["method"] for d in docs} == {"bfs-heuristic"}
+    assert any(d["estimate"]["tie_broken"] for d in docs)
+    assert make_golden.render_estimate() == want
