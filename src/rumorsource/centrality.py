@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NoPathError, ValidationError
-from .topology import Graph, Snapshot, _bfs_layers
+from .topology import Graph, Snapshot, _bfs_layers, induced_adjacency
 
 
 def _require_tree(snap: Snapshot, *nodes: int) -> None:
@@ -230,18 +230,16 @@ def subtree_counts(snap: Snapshot, root: int) -> list[int]:
     return [branch.get(v, 0) for v in sorted(neigh)]
 
 
-def _bfs_size_products(g: Graph, nodes, roots) -> list[int]:
-    """Per root, the product P of subtree sizes of its BFS tree over `nodes`.
+def _bfs_size_products(g: Graph, induced, roots) -> list[int]:
+    """Per root, the product P of subtree sizes of its BFS tree over a node
+    set, given by the set's `induced_adjacency` in g.
 
     The heuristic count n!/P falls strictly as P grows, so the least product
-    marks the largest count.  The induced adjacency is built once on local
-    indices 0..n-1 in ascending id order, so `_bfs_layers` keeps its lowest-id
-    parent rule on it; one reverse pass over each visit order sizes subtrees.
+    marks the largest count.  The local indices follow ascending id order,
+    so `_bfs_layers` keeps its lowest-id parent rule on them; one reverse
+    pass over each visit order sizes subtrees.
     """
-    ids = sorted(set(nodes))
-    local = {v: i for i, v in enumerate(ids)}
-    adj = [[local[w] for w in g.neighbors(v) if w in local] if v in g else []
-           for v in ids]
+    local, adj = induced
     products = []
     for root in roots:
         if root not in local:
@@ -251,11 +249,11 @@ def _bfs_size_products(g: Graph, nodes, roots) -> list[int]:
         order = []
         for layer, parent in _bfs_layers(adj.__getitem__, local[root]):
             order.extend(layer)
-        if len(order) != len(ids):
-            missing = [v for i, v in enumerate(ids) if i not in parent][:5]
+        if len(order) != len(adj):
+            missing = [v for v, i in local.items() if i not in parent][:5]
             raise NoPathError(f"restriction set not connected from {root}: "
                               f"missing {missing}")
-        size = [1] * len(ids)
+        size = [1] * len(adj)
         for u in reversed(order[1:]):
             size[parent[u]] += size[u]
         products.append(math.prod(size))
@@ -264,5 +262,5 @@ def _bfs_size_products(g: Graph, nodes, roots) -> list[int]:
 
 def bfs_heuristic_centrality(g: Graph, nodes, s: int) -> int:
     """General-graph proxy: rumor centrality of s on its BFS tree over `nodes`."""
-    nodes = set(nodes)
-    return math.factorial(len(nodes)) // _bfs_size_products(g, nodes, [s])[0]
+    induced = induced_adjacency(g, nodes)
+    return math.factorial(len(induced[1])) // _bfs_size_products(g, induced, [s])[0]

@@ -90,7 +90,7 @@ def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Est
     elif tree:
         argmax = _tree_argmax(snap, candidates)
     else:
-        products = _bfs_size_products(snap.host, snap.nodes, candidates)
+        products = _bfs_size_products(snap.host, snap.induced, candidates)
         least = min(products)
         argmax = tuple(s for s, p in zip(candidates, products) if p == least)
     tie = len(argmax) > 1

@@ -8,7 +8,13 @@ Two backends produce the same law on trees:
   uniform over the susceptible boundary, so no clocks are needed.  Faster,
   trees only.
 
-A run yields a Snapshot whose parent map records who infected whom.
+The uniform-boundary law is defined by one loop over a swap-removed list of
+(node, infector) entries, `_run_uniform_boundary`, which serves explicit
+trees.  On the lazy regular tree the same draws give the same run with no
+Python step per infection (`_run_lazy_tree`): the boundary grows by delta-2
+entries per infection in every run, so each draw's slot is known up front,
+and a slot rule names the entry held there.  A run yields a Snapshot whose
+parent map records who infected whom.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import topology
 from .errors import BackendError, CapacityError, ValidationError
-from .topology import ExplicitGraph, Graph, LazyRegularTree, Snapshot
+from .topology import Graph, LazyRegularTree, Snapshot
 
 BACKENDS = ("uniform-boundary", "exponential-clocks")
 
@@ -52,32 +58,31 @@ def simulate_si(g: Graph, cfg: SpreadConfig) -> Snapshot:
     if cfg.source not in g:
         raise ValidationError(f"source {cfg.source} not in graph")
     rng = np.random.default_rng(cfg.seed)
-    if cfg.backend == "uniform-boundary":
-        if isinstance(g, ExplicitGraph) and not g.component_is_tree(cfg.source):
-            raise BackendError(
-                "uniform-boundary backend needs a tree; use exponential-clocks"
-            )
-        return _run_uniform_boundary(g, cfg, rng)
-    return _run_exponential_clocks(g, cfg, rng)
+    if cfg.backend == "exponential-clocks":
+        return _run_exponential_clocks(g, cfg, rng)
+    if isinstance(g, LazyRegularTree):
+        return _run_lazy_tree(g, cfg, rng)
+    if not g.component_is_tree(cfg.source):
+        raise BackendError(
+            "uniform-boundary backend needs a tree; use exponential-clocks"
+        )
+    return _run_uniform_boundary(g, cfg, rng)
 
 
 def _run_uniform_boundary(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
-    """On a tree every neighbour of a newly infected node but its infector
-    is still susceptible; the boundary is two flat lists, node and infector.
-    On the lazy tree an unexpanded node (any from id n0 on) other than the
-    source was infected by its parent, so its child block joins the boundary
-    without `neighbors`.  Blocks are numbered as `_expand` would and written
-    by one `_grow` at the end; the run stops before one would pass MAX_NODES.
+    """The uniform-boundary law on any tree: draw i picks slot
+    j = int(r_i * len(boundary)) of the (node, infector) boundary, moves the
+    last entry into slot j, and appends the infected node's neighbours but
+    its infector (on a tree all of them are still susceptible), in
+    ascending id order.  `simulate_si` runs it on explicit trees; on the
+    lazy tree `_run_lazy_tree` gives the same run with no Python step per
+    infection.
     """
     source, n = cfg.source, cfg.n
     parent: dict[int, int | None] = {source: None}
     order = [source]
     bnode = list(g.neighbors(source))
     binf = [source] * len(bnode)
-    lazy = isinstance(g, LazyRegularTree)
-    n0 = nxt = g.num_nodes if lazy else float("inf")
-    first, k, cap = (g._first, g.delta - 1, topology.MAX_NODES) if lazy else (None, 0, 0)
-    grown: list[int] = []  # nodes given a child block by this run, in block order
     for r in _draws(rng.random, n - 1):
         if not bnode:
             raise CapacityError(f"component exhausted after {len(order)} of {n} "
@@ -89,20 +94,84 @@ def _run_uniform_boundary(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
         binf.pop()
         parent[u] = p
         order.append(u)
-        if u >= n0 or (lazy and not first[u]):
-            grown.append(u)
-            if nxt + k > cap:
-                g._grow(grown)
-            bnode.extend(range(nxt, nxt + k))
-            binf.extend([u] * k)
-            nxt += k
-            continue
         for w in g.neighbors(u):
             if w != p:
                 bnode.append(w)
                 binf.append(u)
-    if grown:
-        g._grow(grown)
+    return Snapshot(root=source, order=order, parent_of=parent, host=g)
+
+
+def _run_lazy_tree(g: LazyRegularTree, cfg: SpreadConfig, rng) -> Snapshot:
+    """`_run_uniform_boundary` on the lazy tree, from the draw indices alone:
+    the same draws, ids, order, parents and tree columns.
+
+    Number the draws d = 1..n-1 and call the source draw 0.  Block 0 is the
+    source's delta neighbours, in slots 0..delta-1, and block d is the
+    delta-1 entries that draw d's node adds.  Before draw d the boundary holds
+    L_d = delta + (d-1)(delta-2) entries in every run, so one product gives
+    every slot j_d = int(r_d * L_d).  Draw d moves the last entry, the last
+    of block d-1 (source neighbour delta-1 at d = 1), into slot j_d, and
+    block d then fills slots L_d-1 .. L_d+delta-3.  So slot p at draw d holds
+    the later of two writes: the latest block before d that covers p (block
+    0 below slot delta-1), or the move made by the latest earlier draw on p.
+    That names the block b_d and the offset o_d in it of each draw's entry.
+
+    The entries of a node expanded before the run come from `neighbors`,
+    found in a few rounds outward from the source.  Every other infected
+    node grows a fresh block, so offset o of draw b's block has id
+    n0 + (delta-1) * rank(b) + o, where rank(b) counts the draws before b
+    that grew a block.  Only the draws of expanded nodes grow none, so once
+    fit + e draws are made, where fit blocks fit under MAX_NODES and e nodes
+    were expanded, the run must outgrow MAX_NODES; no more are made, and the
+    sort keys j * m + i stay below 2**63.  Then `_grow` gets the grown nodes
+    up to the first block that does not fit, writes the blocks that fit and
+    raises, which leaves the columns the loop leaves.
+    """
+    source, n, delta = cfg.source, cfg.n, g.delta
+    k = delta - 1
+    blocks = {0: g.neighbors(source)}  # draw -> its block, where expanded before the run
+    n0 = g.num_nodes  # 2 + k * (nodes expanded), as the origin is one of them
+    fit = (topology.MAX_NODES - n0) // k
+    m = min(n - 1, fit + (n0 - 2) // k)
+    i = np.arange(m)  # draw i + 1
+    j = (rng.random(m) * (i * (delta - 2) + delta)).astype(np.int64)
+    # block b >= 1 starts at slot 1 + b(delta-2); draw i + 1 sees blocks up to i
+    b = i * j if delta == 2 else np.minimum(np.maximum(j - 1, 0) // (delta - 2), i)
+    o = j - b * (delta - 2) - (b > 0)
+    slot, by_slot = np.divmod(np.sort(j * m + i), m)  # by slot, then by draw
+    same = (slot[1:] == slot[:-1]).nonzero()[0]
+    # draw prev + 1, the latest earlier one on the slot, moved in block prev's end
+    prev = np.full(m, -1)
+    prev[by_slot[same + 1]] = by_slot[same]
+    moved = prev >= b
+    b = np.maximum(b, prev)
+    o[moved] = k - 1 + (prev[moved] == 0)
+
+    at = {0: source}  # draw -> node, for the entries of blocks in `blocks`
+    grown = np.ones(m + 1, bool)
+    grown[0] = False
+    frontier = [0]  # draws whose node the last round found expanded
+    while frontier:
+        found = np.zeros(m + 1, bool)
+        found[frontier] = True
+        hits = found[b].nonzero()[0].tolist()
+        frontier = []
+        for h, bh, oh in zip(hits, b[hits].tolist(), o[hits].tolist()):
+            u = at[h + 1] = blocks[bh][oh]
+            if g._first[u]:
+                grown[h + 1] = False
+                frontier.append(h + 1)
+                blocks[h + 1] = [w for w in g.neighbors(u) if w != at[bh]]
+    rank = grown.cumsum() - grown
+    node = np.empty(m + 1, np.int64)  # draw -> infected node
+    node[1:] = k * rank[b] + o + n0
+    node[list(at)] = list(at.values())
+    grown_nodes = node[grown]
+    if grown_nodes.size > fit:
+        g._grow(grown_nodes[:fit + 1])  # raises CapacityError
+    g._grow(grown_nodes)
+    order = node.tolist()
+    parent = dict(zip(order, [None, *node[b].tolist()]))
     return Snapshot(root=source, order=order, parent_of=parent, host=g)
 
 

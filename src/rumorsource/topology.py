@@ -13,6 +13,8 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import CapacityError, NoPathError, ParseError, ValidationError
 
 # Hard cap on materialized nodes for any single graph.
@@ -146,18 +148,27 @@ class LazyRegularTree(Graph):
     def _grow(self, nodes) -> None:
         """Append a child block per node, in order: delta children at the
         origin (which grows alone), delta-1 elsewhere.  The only writer of the
-        columns; past MAX_NODES it writes the blocks that fit, then raises."""
-        nodes, start = list(nodes), len(self._parent)
-        k = self.delta if nodes[:1] == [0] else self.delta - 1
+        columns; past MAX_NODES it writes the blocks that fit, then raises.
+        An int64 array of nodes is written with numpy; any other sequence,
+        such as one expansion's single node, with list operations."""
+        bulk, start = isinstance(nodes, np.ndarray), len(self._parent)
+        nodes = nodes if bulk else list(nodes)
+        k = self.delta if len(nodes) and nodes[0] == 0 else self.delta - 1
         fit = nodes[:(MAX_NODES - start) // k]
-        col = [0] * (k * len(fit))
-        for i in range(k):
-            col[i::k] = fit
-        self._parent.fromlist(col)
-        self._first.frombytes(bytes(8 * len(col)))
-        for u in fit:
-            self._first[u] = start
-            start += k
+        if bulk:
+            self._parent.frombytes(np.repeat(fit, k).view(np.uint8))
+            self._first.frombytes(bytes(8 * k * len(fit)))
+            np.frombuffer(self._first, np.int64)[fit] = np.arange(
+                start, start + k * len(fit), k)  # no view outlives this line
+        else:
+            col = [0] * (k * len(fit))
+            for i in range(k):
+                col[i::k] = fit
+            self._parent.fromlist(col)
+            self._first.frombytes(bytes(8 * len(col)))
+            for u in fit:
+                self._first[u] = start
+                start += k
         if len(fit) < len(nodes):
             raise CapacityError(f"materialized node limit {MAX_NODES} exceeded")
 
@@ -188,7 +199,7 @@ def regular_tree(delta: int, radius: int) -> LazyRegularTree:
         )
     if radius:  # ids grow outward: the interior is the ids below the shell's
         g._grow([0])
-        g._grow(range(1, ball_size(delta, radius - 1)))
+        g._grow(np.arange(1, ball_size(delta, radius - 1), dtype=np.int64))
     return g
 
 
@@ -259,19 +270,32 @@ class Snapshot:
     def __contains__(self, u: int) -> bool:
         return u in self.nodes
 
+    @cached_property
+    def induced(self) -> tuple[dict[int, int], list[list[int]]]:
+        """`induced_adjacency` of the host on these nodes, built once."""
+        return induced_adjacency(self.host, self.order)
+
     def is_host_tree(self) -> bool:
-        """True when the host-induced subgraph on these nodes is a tree.
+        """True when the host-induced subgraph on these nodes is a tree:
+        its edges, counted on `induced`, number n - 1.
 
         Without a host the snapshot's own parent tree is all there is, so
-        the answer is True.
+        the answer is True; so it is on the lazy tree, which has no cycles.
         """
         if self.host is None or isinstance(self.host, LazyRegularTree):
             return True
-        inside = self.nodes
-        twice_edges = sum(
-            1 for u in self.order for v in self.host.neighbors(u) if v in inside
-        )
-        return twice_edges == 2 * (self.n - 1)
+        return sum(map(len, self.induced[1])) == 2 * (self.n - 1)
+
+
+def induced_adjacency(g: Graph, nodes) -> tuple[dict[int, int], list[list[int]]]:
+    """The subgraph of g induced on `nodes`, on local indices: `local` maps
+    each node to its rank in ascending id order, and adj[i] lists, ascending,
+    the local indices of the i-th node's neighbours in the set.  A node that
+    g lacks has none."""
+    local = {v: i for i, v in enumerate(sorted(set(nodes)))}
+    adj = [[local[w] for w in g.neighbors(v) if w in local] if v in g else []
+           for v in local]
+    return local, adj
 
 
 def _bfs_layers(neighbors, root: int):

@@ -18,7 +18,7 @@ from rumorsource.centrality import (_ancestors, _bfs_size_products, _path_ratio,
                                     centrality_all, local_rumor_center,
                                     rumor_centrality)
 from rumorsource.errors import NoPathError, ValidationError
-from rumorsource.topology import ExplicitGraph, bfs_tree
+from rumorsource.topology import ExplicitGraph, bfs_tree, induced_adjacency
 
 
 def test_matches_enumeration_on_random_trees():
@@ -226,7 +226,7 @@ def test_size_products_match_per_root_bfs_trees():
     for g, nodes in cyclic_node_sets(random.Random(21)):
         roots = sorted(nodes)
         counts = [bfs_tree_count(g, nodes, s) for s in roots]
-        products = _bfs_size_products(g, nodes, roots)
+        products = _bfs_size_products(g, induced_adjacency(g, nodes), roots)
         fact = math.factorial(len(nodes))
         assert [c * p for c, p in zip(counts, products)] == [fact] * len(roots)
         assert [bfs_heuristic_centrality(g, list(nodes), s) for s in roots] == counts
@@ -246,6 +246,6 @@ def test_size_products_raise_like_bfs_tree(nodes, root, error):
     with pytest.raises(error):
         bfs_tree(g, root, restrict=nodes)
     with pytest.raises(error):
-        _bfs_size_products(g, nodes, [root])
+        _bfs_size_products(g, induced_adjacency(g, nodes), [root])
     with pytest.raises(error):
         bfs_heuristic_centrality(g, nodes, root)

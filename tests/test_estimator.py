@@ -275,3 +275,16 @@ def test_cyclic_map_forms_no_factorial(monkeypatch):
     monkeypatch.setattr(centrality, "bfs_heuristic_centrality", boom)
     est = map_estimate(snap, sus)
     assert est.method == "bfs-heuristic" and est.argmax_set == want
+
+
+def test_cyclic_map_scans_each_infected_node_once(monkeypatch):
+    # the tree check and the BFS heuristic share one induced adjacency
+    g = torus_graph(20)
+    snap = simulate_si(g, SpreadConfig(source=0, n=200, seed=1,
+                                       backend="exponential-clocks"))
+    scanned = []
+    neighbors = g.neighbors
+    monkeypatch.setattr(g, "neighbors", lambda u: scanned.append(u) or neighbors(u))
+    est = map_estimate(snap, make_suspects_all(snap))
+    assert est.method == "bfs-heuristic"
+    assert sorted(scanned) == sorted(snap.order)

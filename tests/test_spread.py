@@ -3,7 +3,10 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import ReferenceTree, reference_spread
@@ -319,3 +322,80 @@ def test_capacity_error_draws_bounded_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _both_spreads(delta, kind, n, seed, extra=None):
+    """The reference loop and `simulate_si` on equal copies of one grown
+    tree, with room for `extra` more nodes (None: the package's cap).
+    Returns the two outcomes, (order, parent) or CapacityError, and the two
+    trees' columns."""
+    g, source = _grown_tree(delta, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        if extra is not None:
+            mp.setattr(topology, "MAX_NODES", g.num_nodes + extra)
+        ref = ReferenceTree(delta, *_columns(g), topology.MAX_NODES)
+        try:
+            want = reference_spread(ref, source, n, seed)
+        except CapacityError:
+            want = CapacityError
+        try:
+            snap = simulate_si(g, SpreadConfig(source=source, n=n, seed=seed))
+            got = snap.order, snap.parent_of
+        except CapacityError:
+            got = CapacityError
+    return want, got, (ref.parent, ref.first), _columns(g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(delta=st.sampled_from(range(2, 13)), kind=st.sampled_from(["origin", "path", "patch", "ball"]),
+       n=st.integers(1, 3000), seed=st.integers(0, 2**63),
+       extra=st.one_of(st.none(), st.integers(0, 3000)))
+def test_lazy_tree_route_matches_reference_spread(delta, kind, n, seed, extra):
+    want, got, ref_columns, columns = _both_spreads(delta, kind, n, seed, extra)
+    assert got == want
+    assert columns == ref_columns
+
+
+def _slots(seed, delta, n):
+    """Each draw's slot, as the reference loop computes it."""
+    draws = np.random.default_rng(seed).random(n - 1)
+    return [int(r * (delta + i * (delta - 2))) for i, r in enumerate(draws)]
+
+
+@pytest.mark.parametrize("delta", [3, 4])
+def test_lazy_tree_route_draw_on_the_last_slot(delta):
+    # draw i takes the last slot, so nothing moves, and draw i+1 takes the
+    # same slot, which block i has written since
+    n = 12
+
+    def hits(seed):
+        j = _slots(seed, delta, n)
+        return any(j[i] == j[i + 1] == delta + i * (delta - 2) - 1
+                   for i in range(1, n - 2))
+
+    seed = next(s for s in itertools.count() if hits(s))
+    for kind in ("origin", "path", "ball"):
+        want, got, ref_columns, columns = _both_spreads(delta, kind, n, seed)
+        assert got == want and columns == ref_columns
+
+
+@pytest.mark.parametrize("kind", ["origin", "path", "patch", "ball"])
+def test_lazy_tree_route_on_the_line(kind):
+    # at degree two the boundary is two slots and every block is slot 1
+    for n in range(1, 40):
+        for seed in range(5):
+            want, got, ref_columns, columns = _both_spreads(2, kind, n, seed)
+            assert got == want and columns == ref_columns
+
+
+@pytest.mark.parametrize("delta", [2, 3, 12])
+def test_capacity_error_at_the_last_draw(delta):
+    # from the bare origin every draw grows a block; room for five blocks
+    # makes the sixth, n = 7's last draw, the first that does not fit
+    k = delta - 1
+    room = delta + 5 * k + k - 1  # past the bare origin: its delta children, 5 blocks
+    want, got, ref_columns, columns = _both_spreads(delta, "origin", 7, 1, room)
+    assert got is want is CapacityError and columns == ref_columns
+    assert len(columns[0]) == 1 + delta + 5 * k
+    want, got, ref_columns, columns = _both_spreads(delta, "origin", 6, 1, room)
+    assert got == want and columns == ref_columns
