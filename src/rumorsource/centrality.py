@@ -4,8 +4,10 @@ For a tree snapshot with n nodes, the count for root s is
 n! / prod_u (size of the subtree at u when rooted at s), taken over all n
 nodes.  Counts are exact big integers; moving the root across an edge (u, v)
 rescales by size_v / (n - size_v), which gives every node's count in two
-passes.  Everything here starts from one reverse pass over the infection
-order that sizes the subtrees at the snapshot's own root.
+passes.  Everything here starts from one reverse pass over the snapshot's
+parent column, which sizes the subtrees at its own root.  The helpers work
+on positions in the infection order; node ids enter and leave only at the
+public functions and candidate lists.
 
 Comparing two nodes needs no big counts: R(b)/R(a) is the product of those
 per-edge factors along the a-b path, a ratio of small-integer products
@@ -36,44 +38,43 @@ def _require_tree(snap: Snapshot, *nodes: int) -> None:
             raise ValidationError(f"node {u} not in snapshot")
 
 
-def _subtree_sizes(snap: Snapshot) -> dict[int, int]:
-    """Subtree sizes of the snapshot's own parent tree at its root.
-
-    One reverse pass over the infection order, which lists every parent
+def _subtree_sizes(snap: Snapshot) -> list[int]:
+    """Subtree sizes of the snapshot's own parent tree at its root, by
+    position: one reverse pass over the parent column, as every parent sits
     before its children.
     """
-    size = dict.fromkeys(snap.order, 1)
-    parent_of = snap.parent_of
-    for u in reversed(snap.order):
-        p = parent_of[u]
-        if p is not None:
-            size[p] += size[u]
+    parent = snap.parent
+    size = [1] * len(parent)
+    for i in range(len(parent) - 1, 0, -1):
+        size[parent[i]] += size[i]
     return size
 
 
 def _ancestors(snap: Snapshot, a: int) -> dict[int, None]:
-    """a, its parent, ..., the root, in that (insertion) order."""
+    """Positions a, its parent's, ..., the root's, in that (insertion) order."""
+    parent = snap.parent
     chain = {}
-    while a is not None:
+    while a >= 0:
         chain[a] = None
-        a = snap.parent_of[a]
+        a = parent[a]
     return chain
 
 
-def _path_ratio(snap: Snapshot, size: dict[int, int], chain: dict,
+def _path_ratio(snap: Snapshot, size: list[int], chain: dict,
                 b: int) -> tuple[int, int]:
-    """R(b)/R(a) as (num, den), where chain = _ancestors(snap, a).
+    """R(b)/R(a) as (num, den) for positions a and b, where
+    chain = _ancestors(snap, a).
 
     Stepping down into child w multiplies by size_w / (n - size_w) and
     stepping up out of w by the inverse, so only path sizes enter and the
     products stay O(path length * log n) bits.
     """
-    n, parent_of = snap.n, snap.parent_of
+    n, parent = snap.n, snap.parent
     num = den = 1
     while b not in chain:
         num *= size[b]
         den *= n - size[b]
-        b = parent_of[b]
+        b = parent[b]
     for w in chain:
         if w == b:
             break
@@ -82,24 +83,27 @@ def _path_ratio(snap: Snapshot, size: dict[int, int], chain: dict,
     return num, den
 
 
-def _branch_sizes(snap: Snapshot, size: dict[int, int], w: int) -> dict[int, int]:
-    """Neighbor -> node count of its branch when the snapshot is rooted at w."""
-    parent_of = snap.parent_of
-    out = {c: size[c] for c in snap.order if parent_of[c] == w}
-    if parent_of[w] is not None:
-        out[parent_of[w]] = snap.n - size[w]
+def _branch_sizes(snap: Snapshot, w: int) -> dict[int, int]:
+    """Neighbor id -> node count of its branch when the snapshot is rooted
+    at node w."""
+    order, parent, n = snap.order, snap.parent, snap.n
+    size = _subtree_sizes(snap)
+    i = order.index(w)
+    out = {order[c]: size[c] for c in range(i + 1, n) if parent[c] == i}
+    if i:
+        out[order[parent[i]]] = n - size[i]
     return out
 
 
-def _root_count(n: int, size: dict[int, int]) -> int:
-    return math.factorial(n) // math.prod(size.values())
+def _root_count(n: int, size: list[int]) -> int:
+    return math.factorial(n) // math.prod(size)
 
 
 def rumor_centrality(snap: Snapshot, root: int) -> int:
     """Exact number of spreading orders of the snapshot that start at root."""
     _require_tree(snap, root)
     size = _subtree_sizes(snap)
-    num, den = _path_ratio(snap, size, {snap.root: None}, root)
+    num, den = _path_ratio(snap, size, {0: None}, snap.order.index(root))
     return _root_count(snap.n, size) * num // den
 
 
@@ -124,20 +128,18 @@ def centrality_all(snap: Snapshot) -> CentralityReport:
     its parent across the shared edge.  The integer division is exact.
     """
     _require_tree(snap)
-    n = snap.n
-    root = snap.root
+    n, order, parent = snap.n, snap.order, snap.parent
     size = _subtree_sizes(snap)
-    exact = {root: _root_count(n, size)}
-    for u in snap.order:
-        if u == root:
-            continue
-        p = snap.parent_of[u]
-        exact[u] = exact[p] * size[u] // (n - size[u])
-    return CentralityReport(root=root, n=n, exact=exact, subtree_size=size)
+    exact = [_root_count(n, size)]
+    for i in range(1, n):
+        exact.append(exact[parent[i]] * size[i] // (n - size[i]))
+    return CentralityReport(root=snap.root, n=n, exact=dict(zip(order, exact)),
+                            subtree_size=dict(zip(order, size)))
 
 
-def _tree_argmax(snap: Snapshot, candidates: list[int]) -> tuple:
-    """Ascending candidates of largest rumor centrality, exactly.
+def _tree_argmax(snap: Snapshot, candidates: list[int] | None = None) -> tuple:
+    """Ascending candidate ids of largest rumor centrality, exactly; None
+    stands for every node.
 
     Nodes holding more than half of all nodes in their subtree form a path
     down from the root; its lowest node is a centroid, and a child holding
@@ -145,15 +147,20 @@ def _tree_argmax(snap: Snapshot, candidates: list[int]) -> tuple:
     argmax set.  Otherwise, as R strictly grows along any path toward the
     centroid, a candidate with another one strictly between it and the
     centroid loses; the rest play an ascending-id tournament by exact path
-    ratio against the current best.
+    ratio against the current best.  All of it runs on positions.
     """
-    n, parent_of = snap.n, snap.parent_of
+    n, order, parent = snap.n, snap.order, snap.parent
     size = _subtree_sizes(snap)
-    heavy = [v for v in snap.order if 2 * size[v] >= n]
-    center = min((v for v in heavy if 2 * size[v] > n), key=size.__getitem__)
-    if len(candidates) == n:
-        return tuple(sorted(v for v in heavy if v == center or 2 * size[v] == n))
-    cand = set(candidates)
+    # ascending positions holding at least half of all nodes; the subtree at
+    # position i holds only later positions, so i <= n - half
+    half = (n + 1) // 2
+    heavy = [i for i, s in enumerate(size[:n - half + 1]) if s >= half]
+    center = heavy[-1] if 2 * size[heavy[-1]] > n else heavy[-2]
+    if candidates is None:  # center, and a child holding half after it
+        return tuple(sorted(order[v] for v in heavy if v >= center))
+    pos = dict(zip(order, range(n)))
+    cand = [pos[c] for c in candidates]
+    chosen = set(cand)
     chain = list(_ancestors(snap, center))
     toward = dict(zip(chain[1:], chain))  # root-side nodes, turned to center
     blocked = {center: False}  # a candidate at x or beyond, short of center
@@ -162,22 +169,22 @@ def _tree_argmax(snap: Snapshot, candidates: list[int]) -> tuple:
         path = []
         while x not in blocked:
             path.append(x)
-            x = toward.get(x, parent_of[x])
+            x = toward.get(x, parent[x])
         hit = blocked[x]
         for y in reversed(path):
-            hit = blocked[y] = hit or y in cand
+            hit = blocked[y] = hit or y in chosen
         return hit
 
     best, best_chain = None, None  # the first contender beats the empty field
-    for c in candidates:
-        if c != center and is_blocked(toward.get(c, parent_of[c])):
+    for c in cand:
+        if c != center and is_blocked(toward.get(c, parent[c])):
             continue
         num, den = _path_ratio(snap, size, best_chain, c) if best else (1, 0)
         if num > den:
             best, best_chain = [c], _ancestors(snap, c)
         elif num == den:
             best.append(c)
-    return tuple(best)
+    return tuple(order[c] for c in best)
 
 
 @dataclass
@@ -198,7 +205,7 @@ def local_rumor_center(snap: Snapshot, omega: int,
     nodes; an exact half is a tie, and at most one neighbor can tie.
     """
     _require_tree(snap, omega)
-    branch = _branch_sizes(snap, _subtree_sizes(snap), omega)
+    branch = _branch_sizes(snap, omega)
     hood = sorted(branch if sub_neighborhood is None else set(sub_neighborhood))
     sizes = {}
     tied = None
@@ -223,7 +230,7 @@ def subtree_counts(snap: Snapshot, root: int) -> list[int]:
     snapshot (host None) can only report the branches it actually contains.
     """
     _require_tree(snap, root)
-    branch = _branch_sizes(snap, _subtree_sizes(snap), root)
+    branch = _branch_sizes(snap, root)
     neigh = set(branch)
     if snap.host is not None:
         neigh.update(snap.host.known_neighbors(root))

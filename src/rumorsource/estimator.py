@@ -81,18 +81,21 @@ def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Est
     product of its subtree sizes (least wins).  A tie is resolved uniformly
     at random from the tied set using tie_seed.
     """
-    candidates = sorted(suspects.members & snap.nodes)
-    if not candidates:
-        raise ValidationError("no suspect is infected; nothing to estimate")
     tree = snap.is_host_tree()
-    if len(candidates) == 1:
-        argmax = tuple(candidates)
-    elif tree:
-        argmax = _tree_argmax(snap, candidates)
+    if tree and snap.nodes <= suspects.members:
+        argmax = _tree_argmax(snap)  # every node a candidate: no sort
     else:
-        products = _bfs_size_products(snap.host, snap.induced, candidates)
-        least = min(products)
-        argmax = tuple(s for s, p in zip(candidates, products) if p == least)
+        candidates = sorted(suspects.members & snap.nodes)
+        if not candidates:
+            raise ValidationError("no suspect is infected; nothing to estimate")
+        if len(candidates) == 1:
+            argmax = tuple(candidates)
+        elif tree:
+            argmax = _tree_argmax(snap, candidates)
+        else:
+            products = _bfs_size_products(snap.host, snap.induced, candidates)
+            least = min(products)
+            argmax = tuple(s for s, p in zip(candidates, products) if p == least)
     tie = len(argmax) > 1
     pick = random.Random(tie_seed).randrange(len(argmax)) if tie else 0
     return Estimate(chosen=argmax[pick], argmax_set=argmax, tie_broken=tie,

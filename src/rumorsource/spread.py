@@ -14,7 +14,8 @@ trees.  On the lazy regular tree the same draws give the same run with no
 Python step per infection (`_run_lazy_tree`): the boundary grows by delta-2
 entries per infection in every run, so each draw's slot is known up front,
 and a slot rule names the entry held there.  A run yields a Snapshot whose
-parent map records who infected whom.
+parent column records who infected whom, as each infector's position in
+the infection order.
 """
 
 from __future__ import annotations
@@ -74,15 +75,15 @@ def _run_uniform_boundary(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
     j = int(r_i * len(boundary)) of the (node, infector) boundary, moves the
     last entry into slot j, and appends the infected node's neighbours but
     its infector (on a tree all of them are still susceptible), in
-    ascending id order.  `simulate_si` runs it on explicit trees; on the
-    lazy tree `_run_lazy_tree` gives the same run with no Python step per
+    ascending id order.  An entry's infector is held as its position in the
+    infection order.  `simulate_si` runs it on explicit trees; on the lazy
+    tree `_run_lazy_tree` gives the same run with no Python step per
     infection.
     """
     source, n = cfg.source, cfg.n
-    parent: dict[int, int | None] = {source: None}
-    order = [source]
+    order, parent = [source], [-1]
     bnode = list(g.neighbors(source))
-    binf = [source] * len(bnode)
+    binf = [0] * len(bnode)
     for r in _draws(rng.random, n - 1):
         if not bnode:
             raise CapacityError(f"component exhausted after {len(order)} of {n} "
@@ -92,13 +93,14 @@ def _run_uniform_boundary(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
         bnode[j], binf[j] = bnode[-1], binf[-1]
         bnode.pop()
         binf.pop()
-        parent[u] = p
+        i, infector = len(order), order[p]
+        parent.append(p)
         order.append(u)
         for w in g.neighbors(u):
-            if w != p:
+            if w != infector:
                 bnode.append(w)
-                binf.append(u)
-    return Snapshot(root=source, order=order, parent_of=parent, host=g)
+                binf.append(i)
+    return Snapshot(root=source, order=order, parent=parent, host=g)
 
 
 def _run_lazy_tree(g: LazyRegularTree, cfg: SpreadConfig, rng) -> Snapshot:
@@ -125,7 +127,8 @@ def _run_lazy_tree(g: LazyRegularTree, cfg: SpreadConfig, rng) -> Snapshot:
     were expanded, the run must outgrow MAX_NODES; no more are made, and the
     sort keys j * m + i stay below 2**63.  Then `_grow` gets the grown nodes
     up to the first block that does not fit, writes the blocks that fit and
-    raises, which leaves the columns the loop leaves.
+    raises, which leaves the columns the loop leaves.  Draw d's node sits at
+    position d of the order, so the blocks b_d are the parent column.
     """
     source, n, delta = cfg.source, cfg.n, g.delta
     k = delta - 1
@@ -170,9 +173,8 @@ def _run_lazy_tree(g: LazyRegularTree, cfg: SpreadConfig, rng) -> Snapshot:
     if grown_nodes.size > fit:
         g._grow(grown_nodes[:fit + 1])  # raises CapacityError
     g._grow(grown_nodes)
-    order = node.tolist()
-    parent = dict(zip(order, [None, *node[b].tolist()]))
-    return Snapshot(root=source, order=order, parent_of=parent, host=g)
+    return Snapshot(root=source, order=node.tolist(), parent=[-1, *b.tolist()],
+                    host=g)
 
 
 def _draws(draw, total=None, chunk=2048):
@@ -183,74 +185,88 @@ def _draws(draw, total=None, chunk=2048):
 
 
 def _run_exponential_clocks(g: Graph, cfg: SpreadConfig, rng) -> Snapshot:
+    """Heap entries are (time, node, infector id), so ties pop in id order;
+    `pos` holds each infected node's position in the order."""
     source, n = cfg.source, cfg.n
     draws = _draws(rng.exponential)
-    parent: dict[int, int | None] = {source: None}
-    order = [source]
+    pos = {source: 0}
+    order, parent = [source], [-1]
     heap: list[tuple[float, int, int]] = []
     for v in g.neighbors(source):
         heapq.heappush(heap, (next(draws), v, source))
     while len(order) < n:
-        while heap and heap[0][1] in parent:
+        while heap and heap[0][1] in pos:
             heapq.heappop(heap)
         if not heap:
             raise CapacityError(
                 f"component exhausted after {len(order)} of {n} infections"
             )
         t, u, infector = heapq.heappop(heap)
-        parent[u] = infector
+        pos[u] = len(order)
+        parent.append(pos[infector])
         order.append(u)
         for w in g.neighbors(u):
-            if w not in parent:
+            if w not in pos:
                 heapq.heappush(heap, (t + next(draws), w, u))
-    return Snapshot(root=source, order=order, parent_of=parent, host=g)
+    return Snapshot(root=source, order=order, parent=parent, host=g)
 
 
 def snapshot_to_dict(snap: Snapshot) -> dict:
     """Plain-data form: infection-ordered node list plus child->parent pairs."""
+    order = snap.order
     return {
         "n": snap.n,
         "source": snap.root,
-        "nodes": list(snap.order),
-        "parents": [
-            [u, snap.parent_of[u]] for u in snap.order if snap.parent_of[u] is not None
-        ],
+        "nodes": list(order),
+        "parents": [[order[i], order[p]] for i, p in enumerate(snap.parent) if p >= 0],
     }
 
 
+def _whole(v) -> int:
+    """v itself when it is a non-negative int; a float, bool or string is
+    rejected, never truncated."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValidationError(f"snapshot ids and counts must be non-negative "
+                              f"integers, got {v!r}")
+    return v
+
+
 def snapshot_from_dict(doc: dict, host: Graph | None = None) -> Snapshot:
-    """Checked inverse of snapshot_to_dict: ids unique, the source first, and
-    one parent per other node, listed before it (subtree sizing relies on it).
-    Given a host, every node must be in it and every (node, parent) pair one
-    of its edges; checking grows no lazy host.
+    """Checked inverse of snapshot_to_dict: ids are non-negative ints and
+    unique, the source comes first, and every other node has one parent,
+    listed before it (the position column relies on it).  Given a host,
+    every node must be in it and every (node, parent) pair one of its edges;
+    checking grows no lazy host.
     """
     try:
-        nodes = [int(v) for v in doc["nodes"]]
-        pairs = [(int(u), int(p)) for u, p in doc["parents"]]
-        root = int(doc.get("source", nodes[0] if nodes else -1))
-        n = int(doc.get("n", len(nodes)))
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        nodes = [_whole(v) for v in doc["nodes"]]
+        pairs = [(_whole(u), _whole(p)) for u, p in doc["parents"]]
+        root = _whole(doc["source"]) if "source" in doc else nodes[0] if nodes else -1
+        n = _whole(doc.get("n", len(nodes)))
+    except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed snapshot document: {e}") from None
-    pos = {v: i for i, v in enumerate(nodes)}
+    pos = dict(zip(nodes, range(len(nodes))))
     if len(pos) != len(nodes):
         raise ValidationError("snapshot node list repeats an id")
     if not nodes or nodes[0] != root or n != len(nodes):
         raise ValidationError("snapshot node list must start with its source "
                               "and hold n nodes")
-    parent: dict[int, int | None] = dict(pairs)
-    if root in parent or len(parent) != len(pairs) or len(pairs) != n - 1:
+    children = {u for u, _ in pairs}
+    if root in children or len(children) != len(pairs) or len(pairs) != n - 1:
         raise ValidationError("snapshot needs one parent for each non-source node")
+    parent = [-1] * n
     for u, p in pairs:
-        if pos.get(p, n) >= pos.get(u, -1):
+        i = pos.get(u, -1)
+        if pos.get(p, n) >= i:
             raise ValidationError(f"parent {p} of node {u} must be listed before it")
+        parent[i] = pos[p]
     if host is not None:
         if root not in host:
             raise ValidationError(f"source {root} not in the host graph")
         for u, p in pairs:  # known_neighbors rejects a node the host lacks
             if p not in host.known_neighbors(u):
                 raise ValidationError(f"parent {p} of node {u} is not a host neighbor")
-    parent[root] = None
-    return Snapshot(root=root, order=nodes, parent_of=parent, host=host)
+    return Snapshot(root=root, order=nodes, parent=parent, host=host)
 
 
 def snapshot_to_json(snap: Snapshot) -> str:

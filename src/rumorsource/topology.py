@@ -10,8 +10,10 @@ always the origin.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -249,19 +251,29 @@ def load_edge_list(path) -> ExplicitGraph:
 class Snapshot:
     """Set of infected (or BFS-visited) nodes with a rooted spanning tree.
 
-    `order` lists nodes root-first in infection/visit order; `parent_of`
-    maps every node to its tree parent (root maps to None).  `host` keeps
-    the graph the snapshot was cut from, when available.
+    `order` lists nodes root-first in infection/visit order.  The tree is
+    one column of positions in `order`: `parent[i]` is the position of node
+    order[i]'s tree parent, -1 at the root, so every parent sits before its
+    children.  `host` keeps the graph the snapshot was cut from, when
+    available.
     """
 
     root: int
     order: list[int]
-    parent_of: dict[int, int | None]
+    parent: list[int]
     host: Graph | None = None
 
     @property
     def n(self) -> int:
         return len(self.order)
+
+    @cached_property
+    def parent_of(self) -> Mapping[int, int | None]:
+        """Read-only node -> tree parent id (the root's is None), derived
+        from `parent`; the package's own tree routes never build it."""
+        order = self.order
+        parents = [None, *map(order.__getitem__, self.parent[1:])]
+        return MappingProxyType(dict(zip(order, parents)))
 
     @cached_property
     def nodes(self) -> frozenset:
@@ -324,8 +336,8 @@ def _bfs_layers(neighbors, root: int):
 
 def bfs_tree(g: Graph, root: int, restrict=None) -> Snapshot:
     """Breadth-first spanning tree of `restrict` (or all of g) from root,
-    ordered and parented by `_bfs_layers`; nodes outside `restrict` are
-    never entered.
+    ordered and parented by `_bfs_layers`, whose parent map turns into
+    positions once; nodes outside `restrict` are never entered.
     """
     neighbors = g.neighbors
     if restrict is not None:
@@ -343,7 +355,9 @@ def bfs_tree(g: Graph, root: int, restrict=None) -> Snapshot:
     if restrict is not None and len(parent) != len(restrict):
         missing = sorted(set(restrict) - set(parent))[:5]
         raise NoPathError(f"restriction set not connected from {root}: missing {missing}")
-    return Snapshot(root=root, order=order, parent_of=parent, host=g)
+    pos = dict(zip(order, range(len(order))))
+    return Snapshot(root=root, order=order,
+                    parent=[-1, *(pos[parent[v]] for v in order[1:])], host=g)
 
 
 def shortest_path(g: Graph, u: int, v: int) -> list[int]:

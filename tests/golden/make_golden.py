@@ -15,7 +15,10 @@ and two more) and n = 1, 2, 7, 30, 200 (rational by default) and 2000
 `rumorsource estimate --edge-list ... --format json` answers for
 exponential-clocks snapshots on two hosts with cycles, where the estimator
 takes its BFS-heuristic route: a 12x12 torus with connected suspects, and a
-6-cycle with its three long chords, on which every node ties.
+6-cycle with its three long chords, on which every node ties.  The `hits`
+file holds `harness.run_trial`'s hit vector, one character per trial, for
+every Monte Carlo scenario, both backends, degrees 2, 3, 4 and 12 and
+n = 1, 2, 31 and 200.
 tests/test_golden.py asserts that the current code
 reproduces every file byte for byte, so regenerate only when a change of
 results is intended.
@@ -31,6 +34,7 @@ from pathlib import Path
 
 from rumorsource.cli import main
 from rumorsource.estimator import make_suspects_connected
+from rumorsource.harness import ExperimentConfig, run_trial
 from rumorsource.topology import ExplicitGraph
 
 HERE = Path(__file__).resolve().parent
@@ -82,6 +86,11 @@ ESTIMATE_HOSTS = {
     "chorded-6-cycle": (CHORD_EDGES, ((0, 6, 1, 6), (0, 6, 2, 6), (3, 6, 3, 6),
                                       (2, 4, 4, 6))),
 }
+
+
+# n of each frozen hit vector: one node, two, odd and even; trials per vector
+HIT_NS = (1, 2, 31, 200)
+HIT_TRIALS = 25
 
 
 def golden_path(scenario: str, backend: str) -> Path:
@@ -180,6 +189,28 @@ def render_estimate() -> str:
     return json.dumps(docs, indent=1) + "\n"
 
 
+def hits_path() -> Path:
+    return HERE / "run_trial_hits.json"
+
+
+def render_hits() -> str:
+    docs = []
+    for scenario, runs in SCENARIOS.items():
+        for extra in runs:
+            param = {extra[0].lstrip("-"): int(extra[1])} if extra else {}
+            for backend in BACKENDS:
+                for delta in DELTAS:
+                    for n in HIT_NS:
+                        cfg = ExperimentConfig(scenario, delta, n, HIT_TRIALS, 7,
+                                               backend=backend, **param)
+                        hits = "".join("01"[run_trial(cfg, t)]
+                                       for t in range(HIT_TRIALS))
+                        docs.append({"scenario": scenario, **param,
+                                     "backend": backend, "delta": delta,
+                                     "n": n, "hits": hits})
+    return json.dumps(docs, indent=1) + "\n"
+
+
 if __name__ == "__main__":
     for scenario in SCENARIOS:
         for backend in BACKENDS:
@@ -196,4 +227,7 @@ if __name__ == "__main__":
         print(path.relative_to(HERE.parent.parent))
     path = estimate_path()
     path.write_text(render_estimate())
+    print(path.relative_to(HERE.parent.parent))
+    path = hits_path()
+    path.write_text(render_hits())
     print(path.relative_to(HERE.parent.parent))

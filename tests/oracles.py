@@ -4,11 +4,12 @@ Everything here trades efficiency for obviousness: plain enumeration
 with exact rationals, no shared code with the library paths under test.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from rumorsource.centrality import _root_count, _subtree_sizes, centrality_all
+from rumorsource.centrality import centrality_all
 from rumorsource.errors import CapacityError
 from rumorsource.spread import SpreadConfig, simulate_si
 from rumorsource.topology import ExplicitGraph, bfs_tree, regular_tree
@@ -55,13 +56,24 @@ def snap_from_adj(adj, root):
     return bfs_tree(g, root)
 
 
+def descendant_counts(snap):
+    """Node -> size of its subtree in the snapshot's tree, counted by
+    walking every node's `parent_of` chain up to the root."""
+    count = dict.fromkeys(snap.order, 0)
+    for u in snap.order:
+        while u is not None:
+            count[u] += 1
+            u = snap.parent_of[u]
+    return count
+
+
 def bfs_tree_count(g, nodes, s):
     """The BFS heuristic one root at a time: s's own BFS spanning tree over
     `nodes`, then n! over its subtree-size product.  It shares the one BFS
     rule with the library, which both must follow; what it checks is the
     library's scoring of many roots on one induced adjacency."""
     snap = bfs_tree(g, s, restrict=nodes)
-    return _root_count(snap.n, _subtree_sizes(snap))
+    return math.factorial(snap.n) // math.prod(descendant_counts(snap).values())
 
 
 def torus_graph(side):

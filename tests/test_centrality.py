@@ -12,13 +12,17 @@ import random
 import pytest
 
 from oracles import (bfs_tree_count, count_orderings, cyclic_node_sets,
-                     random_tree_adj, snap_from_adj)
+                     descendant_counts, random_tree_adj, snap_from_adj)
 from rumorsource.centrality import (_ancestors, _bfs_size_products, _path_ratio,
                                     _subtree_sizes, bfs_heuristic_centrality,
                                     centrality_all, local_rumor_center,
                                     rumor_centrality)
 from rumorsource.errors import NoPathError, ValidationError
-from rumorsource.topology import ExplicitGraph, bfs_tree, induced_adjacency
+from rumorsource.estimator import make_suspects_connected
+from rumorsource.spread import (BACKENDS, SpreadConfig, simulate_si,
+                                snapshot_from_dict, snapshot_to_dict)
+from rumorsource.topology import (ExplicitGraph, LazyRegularTree, bfs_tree,
+                                  induced_adjacency)
 
 
 def test_matches_enumeration_on_random_trees():
@@ -31,6 +35,47 @@ def test_matches_enumeration_on_random_trees():
             snap = snap_from_adj(adj, root)
             assert rumor_centrality(snap, root) == count_orderings(adj, root)
         trees += 1
+
+
+def _snapshots_of_every_constructor():
+    """Snapshots from each route that builds a parent column."""
+    rng = random.Random(8)
+    for delta in (2, 3, 4, 12):
+        for n in (1, 2, 57, 400):
+            g = LazyRegularTree(delta)
+            yield simulate_si(g, SpreadConfig(source=0, n=n, seed=n + delta))
+            g = LazyRegularTree(delta)
+            far = g.path_from_origin(3)[-1]
+            yield simulate_si(g, SpreadConfig(source=far, n=n, seed=n))
+            g = LazyRegularTree(delta)
+            patch = sorted(make_suspects_connected(g, 0, 6).members)
+            yield simulate_si(g, SpreadConfig(source=patch[-1], n=n, seed=delta))
+    for size in (2, 9, 80, 300):
+        adj = random_tree_adj(size, rng)
+        g = ExplicitGraph.from_edges((u, v) for u in adj for v in adj[u] if u < v)
+        for backend in BACKENDS:
+            n = rng.randrange(1, size + 1)
+            snap = simulate_si(g, SpreadConfig(source=rng.randrange(size), n=n,
+                                               seed=size, backend=backend))
+            yield snap
+            yield snapshot_from_dict(snapshot_to_dict(snap))
+            yield snapshot_from_dict(snapshot_to_dict(snap), host=g)
+        yield bfs_tree(g, rng.randrange(size))
+        yield bfs_tree(g, snap.order[-1], restrict=snap.nodes)
+    for g, nodes in cyclic_node_sets(random.Random(3)):
+        yield bfs_tree(g, max(nodes), restrict=nodes)
+
+
+def test_subtree_sizes_match_descendant_counts():
+    kinds = 0
+    for snap in _snapshots_of_every_constructor():
+        parent = snap.parent
+        assert len(parent) == snap.n and parent[0] == -1
+        assert all(0 <= p < i for i, p in enumerate(parent) if i)
+        count = descendant_counts(snap)
+        assert _subtree_sizes(snap) == [count[u] for u in snap.order]
+        kinds += 1
+    assert kinds > 200
 
 
 def test_path_of_four():
@@ -87,8 +132,10 @@ def test_neighbor_ratio_identity():
 
 
 def _ratio_sign(snap, u, v):
-    """Sign of R(u) - R(v) from the path ratio R(v)/R(u) the estimator uses."""
-    num, den = _path_ratio(snap, _subtree_sizes(snap), _ancestors(snap, u), v)
+    """Sign of R(u) - R(v) from the path ratio R(v)/R(u) the estimator uses,
+    whose helpers take positions in the infection order."""
+    a, b = snap.order.index(u), snap.order.index(v)
+    num, den = _path_ratio(snap, _subtree_sizes(snap), _ancestors(snap, a), b)
     return (den > num) - (den < num)
 
 

@@ -421,6 +421,21 @@ def test_estimate_bad_snapshot_exit_four(tmp_path, capsys, doc):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"nodes": [0, 1.9, 2.2], "parents": [[1.9, 0], [2.2, 1.7]]}',
+    '{"nodes": [true, 2], "parents": [[2, true]]}',
+    '{"nodes": ["0", "1"], "parents": [["1", "0"]]}',
+    '{"nodes": [0, -1], "parents": [[-1, 0]]}',
+], ids=["floats", "bool", "strings", "negative"])
+def test_estimate_non_integer_id_exit_four(tmp_path, capsys, text):
+    snap_file = tmp_path / "snap.json"
+    snap_file.write_text(text)
+    code, out, err = run_cli(["estimate", "--snapshot", str(snap_file),
+                              "--suspects", "0,1,2", "--tie-seed", "0"], capsys)
+    assert code == 4 and out == ""
+    assert "non-negative integers" in err and "Traceback" not in err
+
+
 def test_estimate_infinite_id_exit_four(tmp_path, capsys):
     snap_file = tmp_path / "snap.json"
     snap_file.write_text('{"nodes": [0, Infinity], "parents": [[1, 0]]}')

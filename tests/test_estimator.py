@@ -9,10 +9,11 @@ from rumorsource.errors import CapacityError, NoPathError, ValidationError
 from rumorsource.estimator import (SuspectSet, make_suspects_all,
                                    make_suspects_connected, make_suspects_two,
                                    map_estimate)
+from rumorsource.harness import ExperimentConfig, run_trial
 from rumorsource.spread import (SpreadConfig, simulate_si, snapshot_from_json,
                                 snapshot_to_json)
-from rumorsource.topology import (ExplicitGraph, LazyRegularTree, bfs_tree,
-                                  regular_tree)
+from rumorsource.topology import (ExplicitGraph, LazyRegularTree, Snapshot,
+                                  bfs_tree, regular_tree)
 
 
 def path_snapshot(n, root=0):
@@ -233,6 +234,25 @@ def test_tree_map_forms_no_big_counts(monkeypatch):
     assert map_estimate(snap, make_suspects_all(snap)).method == "tree-exact"
     sus = make_suspects_connected(g, 0, 20)
     assert map_estimate(snap, sus).method == "tree-exact"
+
+
+def test_tree_map_builds_no_parent_map(monkeypatch):
+    def boom(self):
+        raise AssertionError("tree MAP must not build the id-keyed parent map")
+
+    monkeypatch.setattr(Snapshot, "parent_of", property(boom))
+    for scenario, extra in (("all-suspects", {}), ("connected-k", {"k": 5}),
+                            ("two-at-d", {"d": 2})):
+        for delta in (3, 4):
+            cfg = ExperimentConfig(scenario, delta, 300, 10, 1, **extra)
+            assert sum(run_trial(cfg, t) for t in range(10)) > 0
+    rng = random.Random(6)
+    g = ExplicitGraph.from_edges((i, rng.randrange(i)) for i in range(1, 200))
+    for backend in ("uniform-boundary", "exponential-clocks"):
+        snap = simulate_si(g, SpreadConfig(source=5, n=120, seed=2,
+                                           backend=backend))
+        for sus in (make_suspects_all(snap), SuspectSet(snap.order[::7])):
+            assert map_estimate(snap, sus).method == "tree-exact"
 
 
 def _per_root_argmax(g, nodes, members):

@@ -564,9 +564,12 @@ def test_phi_validation():
 
 
 def test_phi_monotonicity():
-    a = [phi1(d) for d in range(3, 30)]
+    # the paper's first claim: the all-suspects limit grows from 0.25 toward
+    # 1 - ln 2 = 0.307 as the degree grows
+    a = [phi1(d) for d in range(3, 5001)]
     for x, y in zip(a, a[1:]):
         assert x < y
+    assert a[0] == 0.25 and a[-1] < 1 - math.log(2)
     b = [phi2(4, k) for k in (2, 4, 8, 50, 1000)]
     for x, y in zip(b, b[1:]):
         assert x > y

@@ -44,3 +44,11 @@ def test_estimate_json_matches_golden():
     assert {d["estimate"]["method"] for d in docs} == {"bfs-heuristic"}
     assert any(d["estimate"]["tie_broken"] for d in docs)
     assert make_golden.render_estimate() == want
+
+
+def test_run_trial_hits_match_golden():
+    want = make_golden.hits_path().read_text()
+    docs = json.loads(want)
+    assert {d["scenario"] for d in docs} == set(make_golden.SCENARIOS)
+    assert sum(len(d["hits"]) for d in docs) >= 1000
+    assert make_golden.render_hits() == want

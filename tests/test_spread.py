@@ -209,6 +209,24 @@ def test_serialization_rejects_garbage():
         snapshot_from_json("{]")
 
 
+@pytest.mark.parametrize("doc", [
+    {"nodes": [0, 1.9, 2.2], "parents": [[1.9, 0], [2.2, 1.7]]},  # floats
+    {"nodes": [0, 1, 2], "parents": [[1, 0], [2, 1.0]]},  # a whole float
+    {"nodes": [True, 2], "parents": [[2, True]]},  # bool
+    {"nodes": [0, 1], "parents": [[1, False]]},
+    {"nodes": ["0", "1"], "parents": [["1", "0"]]},  # strings
+    {"nodes": [0, 1], "parents": [["1", 0]]},
+    {"nodes": [0, -1], "parents": [[-1, 0]]},  # negative
+    {"nodes": [0, 1], "parents": [[1, 0]], "source": 0.0},
+    {"nodes": [0, 1], "parents": [[1, 0]], "n": 2.0},
+    {"nodes": [0, 1], "parents": [[1, 0]], "n": True},
+], ids=["floats", "whole-float", "bool-node", "bool-parent", "strings",
+        "string-child", "negative", "float-source", "float-n", "bool-n"])
+def test_loading_rejects_ids_that_are_not_ints(doc):
+    with pytest.raises(ValidationError, match="non-negative integers"):
+        snapshot_from_dict(doc)
+
+
 def test_loading_checks_nodes_and_parents_against_the_host():
     path = ExplicitGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
     star = {"n": 5, "source": 0, "nodes": [0, 1, 2, 3, 4],
