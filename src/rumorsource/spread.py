@@ -241,7 +241,7 @@ def snapshot_from_dict(doc: dict, host: Graph | None = None) -> Snapshot:
     try:
         nodes = [_whole(v) for v in doc["nodes"]]
         pairs = [(_whole(u), _whole(p)) for u, p in doc["parents"]]
-        root = _whole(doc["source"]) if "source" in doc else nodes[0] if nodes else -1
+        root = _whole(doc.get("source", nodes[0] if nodes else 0))
         n = _whole(doc.get("n", len(nodes)))
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed snapshot document: {e}") from None

@@ -205,10 +205,10 @@ def render_hits() -> str:
                                                backend=backend, **param)
                         hits = "".join("01"[run_trial(cfg, t)]
                                        for t in range(HIT_TRIALS))
-                        docs.append({"scenario": scenario, **param,
-                                     "backend": backend, "delta": delta,
-                                     "n": n, "hits": hits})
-    return json.dumps(docs, indent=1) + "\n"
+                        docs.append(json.dumps({
+                            "scenario": scenario, **param, "backend": backend,
+                            "delta": delta, "n": n, "hits": hits}))
+    return "[\n" + ",\n".join(docs) + "\n]\n"
 
 
 if __name__ == "__main__":
