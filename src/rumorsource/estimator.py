@@ -82,7 +82,8 @@ def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Est
     at random from the tied set using tie_seed.
     """
     tree = snap.is_host_tree()
-    if tree and snap.nodes <= suspects.members:
+    # make_suspects_all holds snap.nodes itself, so identity skips the subset test
+    if tree and (suspects.members is snap.nodes or snap.nodes <= suspects.members):
         argmax = _tree_argmax(snap)  # every node a candidate: no sort
     else:
         candidates = sorted(suspects.members & snap.nodes)

@@ -9,8 +9,10 @@ every exact engine here:
   Only chains whose every prefix keeps that product above 1 can end in an
   error, which prunes the walk to a thin wedge.  Below the root every
   level has one law (`urn._inv_table`): an inner level only divides the
-  carried weight, and the last level closes from two table entries, so
-  the walk holds O(n) memory.
+  carried weight, and the last two levels close together, a few steps
+  per run of counts that share one last-level threshold, so the walk
+  holds O(n) memory.  Each root count's weight steps from its
+  neighbour's by one small ratio.
 * the single-subtree tail is the d = 1 case: one fixed neighbor subtree of
   the true source swallows more than half of the infection (plus half the
   mass of an exact half split).  Detection fails through a suspect
@@ -208,16 +210,22 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
 
     Level 1 is the (1, delta-1) urn over n-1 draws.  Below it the walk
     carries w ~ mass / I[z_{h-1} - 1] (`_inv_table`): an inner level only
-    divides w by c eps, and the last level closes from table entries.
-    Exact masses are integers over one denominator D S, D = rise(delta,
-    eps, n-1) and S = E T: each root count's sub-walk starts at w = T =
-    (lcm(1..n-2) eps)^(inner levels), so every division is exact, and its
-    sums are scaled once by U = R(z_1) E / I[z_1 - 1].  Floats take
-    D = E = T = 1.  At delta = 2 (eps = 0) the root count fixes the chain.
+    divides w by c eps.  The pruned walk closes levels d-1 and d together
+    (`close`), with a few steps per run of equal last-level thresholds; the
+    unpruned one classifies every last count on its own, so it stays an
+    independent check.  Exact masses are integers over one denominator D S,
+    D = rise(delta, eps, n-1) and S = E T: each root count's sub-walk starts
+    at w = T = (L eps)^(inner levels), L = lcm(1..n-2), so every division
+    is exact, and its sums are scaled once by U(z_1) = R(z_1) E / I[z_1 - 1].
+    U(n-1) = E, and each U steps from its neighbour by one small ratio.
+    Floats take D = E = T = L = 1 and U = R / I.  At delta = 2 (eps = 0)
+    the root count fixes the chain.
     """
     _check_delta_n(delta, n)
     if d < 1:
         raise ValidationError(f"suspect distance must be >= 1, got {d}")
+    if not max_states >= 1:
+        raise ValidationError(f"max_states must be >= 1, got {max_states}")
     if prune and d >= n:
         # the far suspect needs d+1 infected path nodes, more than exist
         zero = Fraction(0) if use_exact else 0.0
@@ -231,21 +239,32 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
         # R(c) = D P(z_1 = c) for c = N..0, stepped down exactly
         root = accumulate((split_step(delta, N, c) for c in range(N, 0, -1)),
                           lambda r, s: r * s[1] // s[0], initial=rising_product(1, eps, N))
+        # U(z) for z = N..1 from U(N) = E: each step down is the root step
+        # times the table step I[z-1] / I[z-2], and divides exactly
+        weights = accumulate(((*split_step(delta, N, z), z - 1) for z in range(N, 1, -1)),
+                             lambda u, s: u * s[1] * (1 + s[2] * eps) // (s[0] * s[2] * eps),
+                             initial=E)
+        L = math.lcm(*range(1, N)) if walks else 1
         inner = min(d, N + 1) - 2  # most inner levels a chain can pass
-        T = (math.lcm(*range(1, N)) * eps) ** inner if walks and inner > 0 else 1
+        T = (L * eps) ** inner if walks and inner > 0 else 1
     else:
         div = ratio = operator.truediv
-        D = T = 1.0
+        D = T = L = 1.0
         # not stepped down from P(Z1 = N): at delta = 2 that is 2^-N, a float
         # 0 from n = 1100 on, and every weight below it would be too
         root = tree_split_marginal_pmf(delta, n)[::-1].tolist()
+        weights = (r / I[z - 1] for z, r in zip(range(N, 0, -1), root))
+    # HL[c] = sum_{j <= c} L / j, so w / (L eps) (HL[hi] - HL[lo-1]) is the
+    # sum of w / (c eps) over a run of last-level counts
+    HL = (list(accumulate((div(L, j) for j in range(1, N)), initial=0))
+          if prune and walks and d > 2 else None)
     S = E * T
     err = tie = succ = states = 0
     e = t = s = 0  # one root count's sums, in units of U / (D S)
 
-    def bump():
+    def bump(k: int = 1):
         nonlocal states
-        states += 1
+        states += k
         if states > max_states:
             raise BudgetError(f"chain walk for delta={delta}, n={n}, d={d} exceeded "
                               f"{max_states} states; raise max_states to go further")
@@ -264,13 +283,42 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
             s += m
         return True
 
+    def close(p: int, num: int, den: int, w):
+        """Pruned levels d-1 and d below z_{d-2} = p, w the mass over
+        I[p-1].  A count c passes level d-1 from lo on, and its last level
+        errs above K_c = n den (n-c) // (num c + den (n-c)), which falls as
+        c rises: the counts that err are c in [a, p-1], where K_c <= c-2.
+        Their mass, the sum of w / (c eps) (I[c-1] - I[K_c]), telescopes
+        in its first half and takes one HL difference per run of equal K_c
+        in its second.  A tie needs K_c to be exact, which can happen only
+        at the top of a run or at a-1."""
+        nonlocal e, t
+        nd = n * den
+        lo = max(1, nd // (num + den)) + 1
+        # counts visited at level d-1, plus one last-level state per pass
+        bump(max(0, p - max(min(lo - 1, p - 1), 2)) + max(0, p - lo))
+        c, f = p - 1, 0  # f: sum over runs of I[K] (HL[top] - HL[bottom-1])
+        while c >= lo:
+            x, tot = nd * (n - c), num * c + den * (n - c)
+            K = x // tot
+            if 0 < K < c and x % tot == 0:
+                t += div(w, c * eps) * div(I[K - 1], K * eps)
+            if K > c - 2:
+                break  # c = a-1: no lower count errs
+            # the run of K ends below where K_c reaches K+1; below K+2 no count errs
+            m = n - K - 1
+            b = max(lo, K + 2, nd * m // (den * m + (K + 1) * num) + 1)
+            f += I[K] * (HL[c] - HL[b - 1])
+            c = b - 1
+        e += w * (I[p - 1] - I[c]) - div(w, L * eps) * f
+
     def walk(h: int, p: int, num: int, den: int, w):
         """Classify every continuation through levels h..d given
         z_{h-1} = p; num/den is the prefix product so far (above 1 when
         pruning) and w the mass here over I[p-1], in units of U / (D S)."""
         nonlocal e, t, s
         if prune and h == d:
-            # the chain errs exactly from the last count c_star on
+            # d = 2: the chain errs exactly from the last count c_star on
             bump()
             tot = num + den
             c_star = n * den // tot + 1
@@ -278,6 +326,9 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
                 e += w * (I[p - 1] - I[c_star - 1])
             if n * den % tot == 0 and 1 < c_star <= p:
                 t += w * div(I[c_star - 2], (c_star - 1) * eps)
+            return
+        if prune and h == d - 1:
+            close(p, num, den, w)
             return
         # pruned chains must still strictly descend to z_d >= 1
         for c in range(p - 1, d - h if prune else 0, -1):
@@ -301,7 +352,7 @@ def _chain_masses(delta: int, n: int, d: int, use_exact: bool,
                 continue
             bump()
             e = t = s = 0
-            u = div(r * E, I[z - 1]) if walks else r
+            u = next(weights) if walks else r
             if not walks:  # the chain is z, z-1, ..., z-d+1, and S = 1
                 if not classify(math.prod(range(z - d + 1, z + 1)),
                                 math.prod(range(n - z, n - z + d)), 1):

@@ -362,6 +362,65 @@ def test_chain_walk_pins_states_and_rationals():
     assert two_suspect_chain_audit(12, 3, 60).total == 1
 
 
+@pytest.mark.parametrize("delta", [3, 4, 5, 12])
+def test_closed_last_levels_match_the_audit(delta):
+    # the pruned walk closes levels d-1 and d a run of thresholds at a time;
+    # the audit classifies every last count on its own
+    cases = [(d, n) for d in (3, 4, 5) for n in range(1, 41)]
+    ties = [(3, 45), (3, 64), (3, 100), (4, 41), (4, 47)]
+    for d, n in cases + ties:
+        audit = two_suspect_chain_audit(delta, d, n)
+        got = pc_two_suspects(delta, d, n, exact=True).value
+        assert got == 1 - audit.error - audit.tie / 2, (delta, d, n)
+    for d, n in ties:
+        assert _chain_masses(delta, n, d, True, math.inf, prune=True).tie > 0
+
+
+@pytest.mark.parametrize("delta,d,n,states", [(3, 4, 100, 161_161),
+                                              (3, 3, 500, 124_500)])
+def test_closed_last_levels_keep_the_state_count(delta, d, n, states):
+    # the closed levels add up the states the per-count walk would visit,
+    # so a budget of exactly that many passes and one less does not
+    assert _chain_masses(delta, n, d, True, math.inf, prune=True).states == states
+    want = pc_two_suspects(delta, d, n, exact=True).value
+    assert pc_two_suspects(delta, d, n, exact=True, max_states=states).value == want
+    with pytest.raises(BudgetError):
+        pc_two_suspects(delta, d, n, exact=True, max_states=states - 1)
+
+
+@pytest.mark.parametrize("delta,d,n", [(3, 3, 12), (4, 4, 30), (12, 5, 25),
+                                       (3, 2, 40), (4, 1, 40)])
+def test_budget_boundary_for_every_walk(delta, d, n):
+    for prune in (True, False):
+        states = _chain_masses(delta, n, d, True, math.inf, prune).states
+        _chain_masses(delta, n, d, True, states, prune)
+        with pytest.raises(BudgetError):
+            _chain_masses(delta, n, d, True, states - 1, prune)
+
+
+@pytest.mark.parametrize("entry", [pc_two_suspects, two_suspect_chain_audit,
+                                   two_suspect_survival_mass])
+def test_state_budget_below_one_is_rejected(entry):
+    # checked before the shortcut for a distance of at least n
+    for delta, d, n in ((3, 2, 10), (3, 9, 9)):
+        for budget in (0, -1, 0.5):
+            with pytest.raises(ValidationError):
+                entry(delta, d, n, max_states=budget)
+    entry(3, 2, 10, max_states=math.inf)
+    entry(3, 2, 10, max_states=1_000)
+
+
+@pytest.mark.parametrize("delta", [3, 4, 12])
+def test_float_closed_levels_track_the_rationals(delta):
+    cases = [(3, n) for n in (4, 17, 64, 101, 250, 499, 500)]
+    cases += [(4, n) for n in (5, 33, 100, 160)]
+    for d, n in cases:
+        ex = pc_two_suspects(delta, d, n, exact=True).value
+        fl = pc_two_suspects(delta, d, n, exact=False).value
+        assert type(fl) is float
+        assert abs(Fraction(fl) - ex) <= 1e-14 * ex, (delta, d, n)
+
+
 def test_chain_walk_leaves_no_cyclic_garbage():
     # a walk's tables are big integers, which do not advance the collector's
     # counters, so a cycle through them would hold memory until a full pass
