@@ -73,8 +73,10 @@ class Estimate:
         return asdict(self) | {"argmax_set": list(self.argmax_set)}
 
 
-def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Estimate:
-    """Most likely source among the suspects that are actually infected.
+def map_estimate(snap: Snapshot, suspects: SuspectSet | None,
+                 tie_seed: int = 0) -> Estimate:
+    """Most likely source among the suspects that are actually infected;
+    suspects=None makes every infected node a suspect, with no node set built.
 
     Tree hosts get the exact argmax from subtree sizes; otherwise each
     candidate is scored on its BFS tree over the infected set, by the
@@ -83,10 +85,12 @@ def map_estimate(snap: Snapshot, suspects: SuspectSet, tie_seed: int = 0) -> Est
     """
     tree = snap.is_host_tree()
     # make_suspects_all holds snap.nodes itself, so identity skips the subset test
-    if tree and (suspects.members is snap.nodes or snap.nodes <= suspects.members):
+    if tree and (suspects is None or suspects.members is snap.nodes
+                 or snap.nodes <= suspects.members):
         argmax = _tree_argmax(snap)  # every node a candidate: no sort
     else:
-        candidates = sorted(suspects.members & snap.nodes)
+        candidates = sorted(snap.order if suspects is None
+                            else suspects.members & snap.nodes)
         if not candidates:
             raise ValidationError("no suspect is infected; nothing to estimate")
         if len(candidates) == 1:

@@ -18,30 +18,42 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import (make_suspects_all, make_suspects_connected,
-                        make_suspects_two, map_estimate)
+from .estimator import SuspectSet, make_suspects_two, map_estimate
 from .exactprob import (DEFAULT_STATE_BUDGET, DetectionResult,
                         pc_all_suspects, pc_conditional, pc_connected,
                         pc_general_lower_bound, pc_two_suspects, phi1, phi2,
                         phi3)
 from .spread import BACKENDS, SpreadConfig, simulate_si
-from .topology import LazyRegularTree
+from .topology import LazyRegularTree, ball_size, regular_tree
+
+
+def _connected_ball(delta: int, k: int) -> tuple:
+    """What `make_suspects_connected(g, 0, k)` leaves on a fresh lazy tree g,
+    in one bulk grow: it expands the ball of radius r-1 and picks ids
+    0..k-1, r the least radius whose ball holds k nodes."""
+    r = k // 2 if delta == 2 else 0  # ball_size(2, r) = 2r + 1
+    while ball_size(delta, r) < k:
+        r += 1
+    return regular_tree(delta, r), SuspectSet(range(k))
+
 
 # scenario -> row: its parameter and least value (None: it takes none);
-# suspects(g, param) on a fresh lazy tree (None: exact-only; a builder that
-# returns None means every infected node); exact(delta, n, param, exact,
-# max_states) -> DetectionResult; limit(delta, param) (None: none known)
-_Scenario = namedtuple("_Scenario", "param least suspects exact limit")
+# setup(delta, param) -> (lazy tree, suspects) (None: exact-only): all-suspects
+# gives a bare tree and None, every infected node, so it builds no node set,
+# and connected-k grows its whole suspect ball at once; exact(delta, n, param,
+# exact, max_states) -> DetectionResult; limit(delta, param) (None: none known)
+_Scenario = namedtuple("_Scenario", "param least setup exact limit")
 _SCENARIOS = {
     "all-suspects": _Scenario(
-        None, None, lambda g, _: None,
+        None, None, lambda delta, _: (LazyRegularTree(delta), None),
         lambda delta, n, _, exact, __: pc_all_suspects(delta, n, exact),
         lambda delta, _: phi1(delta)),
     "connected-k": _Scenario(
-        "k", 1, lambda g, k: make_suspects_connected(g, 0, k),
+        "k", 1, _connected_ball,
         lambda delta, n, k, exact, _: pc_connected(delta, k, n, exact), phi2),
     "two-at-d": _Scenario(
-        "d", 1, lambda g, d: make_suspects_two(g, 0, g.path_from_origin(d)[-1]),
+        "d", 1, lambda delta, d: (g := LazyRegularTree(delta), make_suspects_two(
+            g, 0, g.path_from_origin(d)[-1])),
         lambda delta, n, d, *arith: pc_two_suspects(delta, d, n, *arith),
         lambda delta, d: phi3(delta) if d == 1 else None),
     "general-k-bound": _Scenario(
@@ -53,9 +65,9 @@ _SCENARIOS = {
         lambda delta, n, m, exact, _: pc_conditional(delta, m, n, exact), None),
 }
 
-# every scenario with an exact P_c; the Monte Carlo ones build suspects
+# every scenario with an exact P_c; the Monte Carlo ones set up a trial
 EXACT_SCENARIOS = tuple(_SCENARIOS)
-SCENARIOS = tuple(name for name, row in _SCENARIOS.items() if row.suspects)
+SCENARIOS = tuple(name for name, row in _SCENARIOS.items() if row.setup)
 # large-n limit name -> (scenario, the parameters it fixes)
 LIMITS = {"phi1": ("all-suspects", {}), "phi2": ("connected-k", {}),
           "phi3": ("two-at-d", {"d": 1})}
@@ -188,17 +200,14 @@ def _trial_streams(seed: int, trial: int) -> tuple:
 def run_trial(cfg: ExperimentConfig, trial: int) -> bool:
     """One independent trial; True when the estimator names the source."""
     draw_seed, sim_seed, tie_seed = _trial_streams(cfg.seed, trial)
-    g = LazyRegularTree(cfg.delta)
     row = _SCENARIOS[cfg.scenario]
-    suspects = row.suspects(g, row.param and getattr(cfg, row.param))
+    g, suspects = row.setup(cfg.delta, row.param and getattr(cfg, row.param))
     source = 0
     if suspects is not None:
         members = sorted(suspects.members)
         source = members[random.Random(draw_seed).randrange(len(members))]
     snap = simulate_si(g, SpreadConfig(source=source, n=cfg.n, seed=sim_seed,
                                        backend=cfg.backend))
-    if suspects is None:
-        suspects = make_suspects_all(snap)
     est = map_estimate(snap, suspects, tie_seed=tie_seed)
     return est.chosen == source
 

@@ -201,6 +201,7 @@ def regular_tree(delta: int, radius: int) -> LazyRegularTree:
         )
     if radius:  # ids grow outward: the interior is the ids below the shell's
         g._grow([0])
+    if radius > 1:
         g._grow(np.arange(1, ball_size(delta, radius - 1), dtype=np.int64))
     return g
 

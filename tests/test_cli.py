@@ -470,6 +470,15 @@ def test_simulate_explicit_graph(tmp_path, capsys):
     assert sorted(doc["nodes"]) == [0, 1, 2, 3]
 
 
+def test_experiment_oversized_k_exit_three(capsys):
+    # the suspect ball is sized before any node is grown
+    code, out, err = run_cli(["experiment", "--scenario", "connected-k",
+                              "--k", "5000000", "--delta", "3", "--n", "10",
+                              "--trials", "1", "--seed", "1"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_simulate_capacity_exit_three(tmp_path, capsys):
     graph_file = tmp_path / "small.txt"
     graph_file.write_text("0 1\n")

@@ -308,3 +308,26 @@ def test_cyclic_map_scans_each_infected_node_once(monkeypatch):
     est = map_estimate(snap, make_suspects_all(snap))
     assert est.method == "bfs-heuristic"
     assert sorted(scanned) == sorted(snap.order)
+
+
+def test_map_with_no_suspect_set_means_every_infected_node():
+    # None and make_suspects_all give equal estimates on every host kind,
+    # at odd and even n (even n can tie) and at n = 1 and 2
+    rng = random.Random(3)
+    tree = ExplicitGraph.from_edges((i, rng.randrange(i)) for i in range(1, 300))
+    torus = torus_graph(12)
+    hosts = ((lambda: LazyRegularTree(3), "uniform-boundary"),
+             (lambda: tree, "uniform-boundary"),
+             (lambda: torus, "exponential-clocks"))
+    ties = 0
+    for make_host, backend in hosts:
+        for n in (1, 2, 3, 8, 9, 40, 41):
+            for seed in range(12):
+                cfg = SpreadConfig(source=0, n=n, seed=seed, backend=backend)
+                snap = simulate_si(make_host(), cfg)
+                for tie_seed in (0, 5):
+                    est = map_estimate(snap, None, tie_seed=tie_seed)
+                    assert est == map_estimate(snap, make_suspects_all(snap),
+                                               tie_seed=tie_seed)
+                    ties += est.tie_broken
+    assert ties > 0

@@ -4,12 +4,15 @@ import math
 
 import pytest
 
-from rumorsource.errors import ValidationError
+from rumorsource import topology
+from rumorsource.errors import CapacityError, ValidationError
+from rumorsource.estimator import make_suspects_connected
 from rumorsource.exactprob import pc_all_suspects, pc_connected, pc_two_suspects, phi1
-from rumorsource.harness import (CSV_COLUMNS, SCENARIOS, ExperimentConfig,
-                                 ExperimentReport, figure_sweep,
-                                 reports_to_csv, run_experiment, run_trial,
-                                 wilson_interval)
+from rumorsource.harness import (_SCENARIOS, CSV_COLUMNS, SCENARIOS,
+                                 ExperimentConfig, ExperimentReport,
+                                 figure_sweep, reports_to_csv, run_experiment,
+                                 run_trial, wilson_interval)
+from rumorsource.topology import LazyRegularTree, Snapshot, ball_size
 
 
 def test_scenario_names():
@@ -215,3 +218,51 @@ def test_figure_sweep_checks_run_before_an_empty_axis(kwargs):
     args = dict(seed=1, n=5, trials=2, deltas=()) | kwargs
     with pytest.raises(ValidationError):
         figure_sweep("fig7", **args)
+
+
+_CONNECTED_SETUP = _SCENARIOS["connected-k"].setup
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 12])
+def test_connected_ball_matches_the_bfs_builder(delta):
+    # the bulk ball is what make_suspects_connected leaves on a fresh tree:
+    # both columns and the members, at the ball sizes and one past them
+    ks = {1, 2, 3, 5, 10, 100, 400, 1000, 4000}
+    ks |= {ball_size(delta, r) + e for r in range(5) for e in (0, 1)}
+    for k in sorted(ks):
+        g, suspects = _CONNECTED_SETUP(delta, k)
+        h = LazyRegularTree(delta)
+        want = make_suspects_connected(h, 0, k)
+        assert g._parent == h._parent and g._first == h._first, (delta, k)
+        assert suspects == want, (delta, k)
+
+
+def test_connected_ball_and_bfs_builder_share_the_node_limit(monkeypatch):
+    monkeypatch.setattr(topology, "MAX_NODES", 60)
+    for delta in (2, 3, 4, 12):
+        for k in range(1, 62):
+            try:
+                make_suspects_connected(LazyRegularTree(delta), 0, k)
+                bfs = None
+            except CapacityError as exc:
+                bfs = type(exc)
+            try:
+                _CONNECTED_SETUP(delta, k)
+                bulk = None
+            except CapacityError as exc:
+                bulk = type(exc)
+            assert bulk is bfs, (delta, k)
+        assert bfs is CapacityError  # k = 61 cannot fit under 60 nodes
+
+
+@pytest.mark.parametrize("backend", ["uniform-boundary", "exponential-clocks"])
+def test_all_suspects_trial_builds_no_node_set(monkeypatch, backend):
+    def boom(self):
+        raise AssertionError("an all-suspects trial must not build Snapshot.nodes")
+
+    monkeypatch.setattr(Snapshot, "nodes", property(boom))
+    for delta in (2, 3, 4, 12):
+        for n in (1, 2, 41, 300):
+            cfg = ExperimentConfig("all-suspects", delta, n, 10, 1, backend=backend)
+            hits = sum(run_trial(cfg, t) for t in range(10))
+            assert hits == 10 if n == 1 else 0 <= hits <= 10
